@@ -45,8 +45,10 @@
 //! failing on a >20% regression — absolute nanoseconds vary across
 //! hosts, the ratios should not.
 
+use commsim::StepEnds;
 use predsim_core::{
-    record_program, simulate_program, simulate_program_with, SimOptions, StepSimulator,
+    record_program, simulate_program, simulate_request, Prediction, Program, SimOptions,
+    SimRequest, StepCall, StepSimulator,
 };
 use predsim_engine::JobSource;
 use predsim_lint::json::{self, Value};
@@ -109,21 +111,26 @@ fn wall_pair(iters: u32, mut a: impl FnMut(), mut b: impl FnMut()) -> (Duration,
 struct ReferenceStepSimulator;
 
 impl StepSimulator for ReferenceStepSimulator {
-    fn simulate_comm(
-        &mut self,
-        comm: &commsim::CommPattern,
-        opts: &SimOptions,
-        ready: &[loggp::Time],
-    ) -> commsim::SimResult {
-        match opts.algo {
+    fn simulate_step(&mut self, call: &StepCall<'_>, ends: &mut StepEnds) {
+        let (comm, cfg, ready) = (call.comm, &call.opts.cfg, call.ready);
+        let result = match call.opts.algo {
             predsim_core::CommAlgo::Standard => {
-                commsim::reference::standard_simulate_from(comm, &opts.cfg, ready)
+                commsim::reference::standard_simulate_from(comm, cfg, ready)
             }
             predsim_core::CommAlgo::WorstCase => {
-                commsim::reference::worstcase_simulate_from(comm, &opts.cfg, ready)
+                commsim::reference::worstcase_simulate_from(comm, cfg, ready)
             }
-        }
+        };
+        ends.reset(ready);
+        ends.absorb(&result);
     }
+}
+
+/// The whole-program fold driven by the reference algorithms.
+fn simulate_reference(program: &Program, opts: &SimOptions) -> Prediction {
+    let mut backend = ReferenceStepSimulator;
+    let req = SimRequest::default().with_backend(&mut backend);
+    simulate_request(program, opts, req).prediction
 }
 
 fn build(spec: &str) -> std::sync::Arc<predsim_core::Program> {
@@ -167,7 +174,7 @@ fn measure_row(prefix: &'static str, source: &'static str, iters: u32) -> Row {
     // prediction, bit for bit.
     for o in [&std_opts, &wc_opts] {
         let new = simulate_program(&program, o);
-        let old = simulate_program_with(&program, o, &mut ReferenceStepSimulator);
+        let old = simulate_reference(&program, o);
         assert_eq!(new, old, "{source}: optimized loop diverged from reference");
     }
 
@@ -178,16 +185,8 @@ fn measure_row(prefix: &'static str, source: &'static str, iters: u32) -> Row {
             std::hint::black_box(simulate_program(&program, &wc_opts));
         },
         || {
-            std::hint::black_box(simulate_program_with(
-                &program,
-                &std_opts,
-                &mut ReferenceStepSimulator,
-            ));
-            std::hint::black_box(simulate_program_with(
-                &program,
-                &wc_opts,
-                &mut ReferenceStepSimulator,
-            ));
+            std::hint::black_box(simulate_reference(&program, &std_opts));
+            std::hint::black_box(simulate_reference(&program, &wc_opts));
         },
     );
     Row {

@@ -156,7 +156,7 @@ pub fn simulated(params: &LogGpParams, pattern: &CommPattern) -> Time {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::patterns;
+    use crate::{patterns, CommAlgo, SimScratch, StepRequest};
     use loggp::presets;
 
     fn machines() -> Vec<LogGpParams> {
@@ -242,7 +242,8 @@ mod tests {
                     let cfg = SimConfig::new(params);
                     let mut ready = vec![Time::ZERO; p];
                     for pat in binomial_broadcast_rounds(p, bytes) {
-                        let r = standard::simulate_from(&pat, &cfg, &ready);
+                        let r = CommAlgo::Standard
+                            .simulate(StepRequest::new(&pat, &cfg, &ready), &mut SimScratch::new());
                         for ev in r.timeline.events() {
                             ready[ev.proc] = ready[ev.proc].max(ev.end);
                         }

@@ -19,6 +19,10 @@
 //!   message transmissions. The result upper-bounds the communication time
 //!   a LogGP-faithful execution can exhibit.
 //!
+//! Everything beyond the plain case — per-processor ready times, a custom
+//! arrival model, tracing, fault injection, a reused [`SimScratch`] — goes
+//! through one request: [`CommAlgo::simulate`] on a [`StepRequest`].
+//!
 //! Both produce a [`Timeline`] of [`CommEvent`]s which can be rendered as an
 //! ASCII Gantt chart ([`gantt::render`], reproducing the paper's Figures 4
 //! and 5) and independently checked against the LogGP constraints
@@ -52,6 +56,7 @@ pub mod pattern;
 pub mod patterns;
 pub mod reference;
 pub mod replay;
+mod request;
 mod scratch;
 pub mod standard;
 pub mod stats;
@@ -62,7 +67,8 @@ pub mod worstcase;
 pub use faults::StepFaults;
 pub use observe::StepTracer;
 pub use pattern::{CommPattern, Message, MsgId, PatternError};
-pub use replay::{Recording, ReplayAlgo, StepEnds};
+pub use replay::{Recording, StepEnds};
+pub use request::{ArrivalFn, CommAlgo, StepRequest};
 pub use scratch::SimScratch;
 pub use timeline::{CommEvent, SimResult, Timeline};
 

@@ -56,7 +56,7 @@ use crate::faults::transmit;
 use crate::pattern::{CommPattern, Message};
 use crate::scratch::{InFlight, SimScratch};
 use crate::timeline::{CommEvent, SimResult, Timeline};
-use crate::{standard, worstcase, SimConfig, TieBreak};
+use crate::{standard, worstcase, CommAlgo, SimConfig, TieBreak};
 use loggp::{OpKind, Time};
 use std::cmp::Reverse;
 
@@ -105,15 +105,6 @@ impl StepEnds {
     }
 }
 
-/// Which algorithm produced a [`Recording`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReplayAlgo {
-    /// The standard (Figure 2) algorithm; replay is verified per op.
-    Standard,
-    /// The worst-case (§4.2) algorithm; replay is unconditionally exact.
-    WorstCase,
-}
-
 /// The commit order of one simulated step (see module docs).
 ///
 /// Ops encode `proc << 1 | bit` — the bit is the operation kind for the
@@ -121,7 +112,7 @@ pub enum ReplayAlgo {
 /// worst-case algorithm, whose round boundaries are `u32::MAX` sentinels.
 #[derive(Clone, Debug)]
 pub struct Recording {
-    algo: ReplayAlgo,
+    algo: CommAlgo,
     procs: usize,
     msgs: usize,
     seed: u64,
@@ -157,7 +148,7 @@ pub(crate) struct RecBufs {
 
 impl Recording {
     /// Which algorithm this recording replays.
-    pub fn algo(&self) -> ReplayAlgo {
+    pub fn algo(&self) -> CommAlgo {
         self.algo
     }
 
@@ -185,8 +176,8 @@ impl Recording {
         scratch: &mut SimScratch,
     ) -> Option<SimResult> {
         match self.algo {
-            ReplayAlgo::Standard => self.replay_standard(pattern, cfg, ready, scratch),
-            ReplayAlgo::WorstCase => self.replay_worstcase(pattern, cfg, ready, scratch),
+            CommAlgo::Standard => self.replay_standard(pattern, cfg, ready, scratch),
+            CommAlgo::WorstCase => self.replay_worstcase(pattern, cfg, ready, scratch),
         }
     }
 
@@ -380,8 +371,8 @@ impl Recording {
         out: &mut StepEnds,
     ) -> bool {
         match self.algo {
-            ReplayAlgo::Standard => self.retime_standard(pattern, cfg, ready, scratch, out),
-            ReplayAlgo::WorstCase => self.retime_worstcase(pattern, cfg, ready, scratch, out),
+            CommAlgo::Standard => self.retime_standard(pattern, cfg, ready, scratch, out),
+            CommAlgo::WorstCase => self.retime_worstcase(pattern, cfg, ready, scratch, out),
         }
     }
 
@@ -620,9 +611,28 @@ fn arena_snapshot(scratch: &SimScratch, procs: usize) -> (Vec<Message>, Vec<u32>
     (scratch.arena.clone(), q_start, q_end)
 }
 
-/// Run the standard algorithm and record its commit order. The result is
-/// bit-identical to [`standard::simulate_from`] with the same inputs.
-pub fn record_standard(
+impl CommAlgo {
+    /// Run this algorithm and record its commit order. The result is
+    /// bit-identical to [`CommAlgo::simulate`] on a plain
+    /// [`StepRequest::new`](crate::StepRequest::new) with the same inputs;
+    /// recordings assume the default arrival model and no faults. The
+    /// standard algorithm's recording replays only under
+    /// [`TieBreak::LowestId`]; the worst-case one under the same seed.
+    pub fn record(
+        self,
+        pattern: &CommPattern,
+        cfg: &SimConfig,
+        ready: &[Time],
+        scratch: &mut SimScratch,
+    ) -> (SimResult, Recording) {
+        match self {
+            CommAlgo::Standard => record_standard(pattern, cfg, ready, scratch),
+            CommAlgo::WorstCase => record_worstcase(pattern, cfg, ready, scratch),
+        }
+    }
+}
+
+fn record_standard(
     pattern: &CommPattern,
     cfg: &SimConfig,
     ready: &[Time],
@@ -689,7 +699,7 @@ pub fn record_standard(
     }
 
     let rec = Recording {
-        algo: ReplayAlgo::Standard,
+        algo: CommAlgo::Standard,
         procs,
         msgs,
         seed: cfg.seed,
@@ -707,9 +717,7 @@ pub fn record_standard(
     (result, rec)
 }
 
-/// Run the worst-case algorithm and record its commit order. The result is
-/// bit-identical to [`worstcase::simulate_from`] with the same inputs.
-pub fn record_worstcase(
+fn record_worstcase(
     pattern: &CommPattern,
     cfg: &SimConfig,
     ready: &[Time],
@@ -730,7 +738,7 @@ pub fn record_worstcase(
     let procs = pattern.procs();
     let (arena, q_start, q_end) = arena_snapshot(scratch, procs);
     let rec = Recording {
-        algo: ReplayAlgo::WorstCase,
+        algo: CommAlgo::WorstCase,
         procs,
         msgs: arena.len(),
         seed: cfg.seed,
@@ -759,6 +767,18 @@ mod tests {
         SimConfig::new(presets::meiko_cs2(procs))
     }
 
+    fn simulate_from(
+        algo: CommAlgo,
+        pattern: &CommPattern,
+        cfg: &SimConfig,
+        ready: &[Time],
+    ) -> SimResult {
+        algo.simulate(
+            crate::StepRequest::new(pattern, cfg, ready),
+            &mut SimScratch::new(),
+        )
+    }
+
     fn scaled(params: LogGpParams, num: u64, den: u64) -> LogGpParams {
         LogGpParams {
             latency: Time::from_ps(params.latency.as_ps() * num / den),
@@ -774,7 +794,8 @@ mod tests {
         let pattern = patterns::all_to_all(6, 512);
         let cfg = meiko_cfg(6);
         let mut scratch = SimScratch::new();
-        let (rec_result, _) = record_standard(&pattern, &cfg, &[Time::ZERO; 6], &mut scratch);
+        let (rec_result, _) =
+            CommAlgo::Standard.record(&pattern, &cfg, &[Time::ZERO; 6], &mut scratch);
         let direct = standard::simulate(&pattern, &cfg);
         assert_eq!(rec_result.timeline.events(), direct.timeline.events());
     }
@@ -785,7 +806,7 @@ mod tests {
         let base = meiko_cfg(6);
         let mut scratch = SimScratch::new();
         let ready = vec![Time::ZERO; 6];
-        let (_, rec) = record_standard(&pattern, &base, &ready, &mut scratch);
+        let (_, rec) = CommAlgo::Standard.record(&pattern, &base, &ready, &mut scratch);
         assert!(rec.is_replayable());
         // Mild parameter changes keep the commit order valid.
         for (num, den) in [(11, 10), (9, 10), (13, 10)] {
@@ -796,7 +817,7 @@ mod tests {
             let replayed = rec
                 .replay(&pattern, &cfg, &ready, &mut scratch)
                 .expect("mild scaling keeps order valid");
-            let full = standard::simulate_from(&pattern, &cfg, &ready);
+            let full = simulate_from(CommAlgo::Standard, &pattern, &cfg, &ready);
             assert_eq!(replayed.timeline.events(), full.timeline.events());
             assert_eq!(replayed.finish, full.finish);
         }
@@ -808,7 +829,7 @@ mod tests {
         let base = meiko_cfg(7).with_seed(5);
         let ready = vec![Time::ZERO; 7];
         let mut scratch = SimScratch::new();
-        let (_, rec) = record_worstcase(&pattern, &base, &ready, &mut scratch);
+        let (_, rec) = CommAlgo::WorstCase.record(&pattern, &base, &ready, &mut scratch);
         // Even drastic parameter changes replay exactly (round structure is
         // parameter-independent).
         for (num, den) in [(1, 10), (10, 1), (17, 3)] {
@@ -819,7 +840,7 @@ mod tests {
             let replayed = rec
                 .replay(&pattern, &cfg, &ready, &mut scratch)
                 .expect("worst-case replay is unconditional");
-            let full = worstcase::simulate_from(&pattern, &cfg, &ready);
+            let full = simulate_from(CommAlgo::WorstCase, &pattern, &cfg, &ready);
             assert_eq!(replayed.timeline.events(), full.timeline.events());
             assert_eq!(replayed.forced_sends, full.forced_sends);
         }
@@ -831,7 +852,7 @@ mod tests {
         let cfg = meiko_cfg(5).with_seed(7);
         let ready = vec![Time::ZERO; 5];
         let mut scratch = SimScratch::new();
-        let (_, rec) = record_worstcase(&pattern, &cfg, &ready, &mut scratch);
+        let (_, rec) = CommAlgo::WorstCase.record(&pattern, &cfg, &ready, &mut scratch);
         let other = meiko_cfg(5).with_seed(8);
         assert!(rec.replay(&pattern, &other, &ready, &mut scratch).is_none());
     }
@@ -842,7 +863,7 @@ mod tests {
         let cfg = meiko_cfg(4).with_random_ties(3);
         let ready = vec![Time::ZERO; 4];
         let mut scratch = SimScratch::new();
-        let (result, rec) = record_standard(&pattern, &cfg, &ready, &mut scratch);
+        let (result, rec) = CommAlgo::Standard.record(&pattern, &cfg, &ready, &mut scratch);
         // Recording under Random still simulates correctly...
         let direct = standard::simulate(&pattern, &cfg);
         assert_eq!(result.timeline.events(), direct.timeline.events());
@@ -876,8 +897,8 @@ mod tests {
             patterns::random(8, 24, 2048, 17),
         ] {
             let base = meiko_cfg(8).with_seed(3);
-            let (_, st) = record_standard(&pattern, &base, &ready, &mut scratch);
-            let (_, wc) = record_worstcase(&pattern, &base, &ready, &mut scratch);
+            let (_, st) = CommAlgo::Standard.record(&pattern, &base, &ready, &mut scratch);
+            let (_, wc) = CommAlgo::WorstCase.record(&pattern, &base, &ready, &mut scratch);
             for rec in [&st, &wc] {
                 for (num, den) in [(1, 1), (11, 10), (2, 1), (1, 3), (17, 3)] {
                     let cfg = SimConfig {
@@ -892,7 +913,7 @@ mod tests {
                             "retime accepted a run replay refuses at {num}/{den}"
                         );
                     }
-                    if (num, den) == (1, 1) || rec.algo() == ReplayAlgo::WorstCase {
+                    if (num, den) == (1, 1) || rec.algo() == CommAlgo::WorstCase {
                         assert!(accepted, "must retime at {num}/{den}");
                     }
                     if accepted {
@@ -914,12 +935,12 @@ mod tests {
         let mut scratch = SimScratch::new();
         let mut ends = StepEnds::default();
         // Wrong seed on a worst-case recording.
-        let (_, wc) = record_worstcase(&pattern, &cfg, &ready, &mut scratch);
+        let (_, wc) = CommAlgo::WorstCase.record(&pattern, &cfg, &ready, &mut scratch);
         let other = meiko_cfg(5).with_seed(8);
         assert!(!wc.retime(&pattern, &other, &ready, &mut scratch, &mut ends));
         // Random-tie standard recordings never re-time.
         let rnd = meiko_cfg(5).with_random_ties(3);
-        let (_, st) = record_standard(&pattern, &rnd, &ready, &mut scratch);
+        let (_, st) = CommAlgo::Standard.record(&pattern, &rnd, &ready, &mut scratch);
         assert!(!st.retime(&pattern, &rnd, &ready, &mut scratch, &mut ends));
     }
 
@@ -939,7 +960,7 @@ mod tests {
         });
         let ready = vec![Time::ZERO; 3];
         let mut scratch = SimScratch::new();
-        let (_, rec) = record_standard(&pattern, &base, &ready, &mut scratch);
+        let (_, rec) = CommAlgo::Standard.record(&pattern, &base, &ready, &mut scratch);
         let collapsed = SimConfig::new(LogGpParams {
             latency: Time::ZERO,
             overhead: Time::ZERO,
@@ -950,7 +971,7 @@ mod tests {
             None => {} // refused: fine
             Some(replayed) => {
                 // If it claims validity it must be bit-exact.
-                let full = standard::simulate_from(&pattern, &collapsed, &ready);
+                let full = simulate_from(CommAlgo::Standard, &pattern, &collapsed, &ready);
                 assert_eq!(replayed.timeline.events(), full.timeline.events());
             }
         }

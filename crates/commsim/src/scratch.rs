@@ -141,7 +141,7 @@ const PLACEHOLDER: Message = Message {
 /// Reusable buffers for the simulation algorithms.
 ///
 /// Construct once (e.g. per worker thread, or inside a
-/// `DirectStepSimulator`) and pass to the `*_scratch` entry points; every
+/// `DirectStepSimulator`) and pass to [`crate::CommAlgo::simulate`]; every
 /// simulation clears the buffers but keeps their capacity, so repeated
 /// steps allocate nothing in the steady state. The scratch carries no
 /// state between runs that could affect results — simulations are

@@ -23,8 +23,8 @@
 //! This is the optimized hot loop: per-processor state lives in flat
 //! parallel arrays inside a reusable [`SimScratch`] (send queues are cursor
 //! ranges into one message arena), and the "minimum ctime among pending
-//! senders" selection uses the lazy-deletion [`crate::scratch`] frontier
-//! heap instead of an O(P) rescan per committed operation. The produced
+//! senders" selection uses the scratch's lazy-deletion frontier heap
+//! instead of an O(P) rescan per committed operation. The produced
 //! timelines are **bit-identical** to the straightforward encoding kept in
 //! [`crate::reference`]; `tests/equiv.rs` pins the equivalence across
 //! patterns × presets × gap rules × tie seeds × fault plans × arrival
@@ -36,119 +36,22 @@ use crate::pattern::{CommPattern, Message};
 use crate::replay::RecBufs;
 use crate::scratch::{InFlight, SimScratch};
 use crate::timeline::{CommEvent, SimResult, Timeline};
-use crate::{SimConfig, TieBreak};
+use crate::{CommAlgo, SimConfig, StepRequest, TieBreak};
 use loggp::{OpKind, Time};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 
-/// Simulate one communication step with the standard algorithm.
-///
-/// Self-messages in the pattern are ignored, as in the paper. The returned
-/// timeline contains one send and one receive event per network message.
+/// Simulate one communication step with the standard algorithm, every
+/// processor ready at time zero. Self-messages in the pattern are ignored,
+/// as in the paper. The returned timeline contains one send and one
+/// receive event per network message. Ready times, arrival models, tracing
+/// and faults go through [`CommAlgo::simulate`].
 pub fn simulate(pattern: &CommPattern, cfg: &SimConfig) -> SimResult {
-    simulate_from(pattern, cfg, &vec![Time::ZERO; pattern.procs()])
-}
-
-/// Simulate one communication step where processor `p` may not start
-/// communicating before `ready[p]` (used by the whole-program simulator:
-/// a processor enters the communication step only after its computation
-/// phase ends).
-pub fn simulate_from(pattern: &CommPattern, cfg: &SimConfig, ready: &[Time]) -> SimResult {
-    let params = cfg.params;
-    simulate_hooked(pattern, cfg, ready, &mut |m, start| {
-        params.arrival_time(start, m.bytes)
-    })
-}
-
-/// [`simulate_from`] reusing the caller's [`SimScratch`] buffers (the
-/// whole-program simulator holds one across steps so repeated steps
-/// allocate nothing in the steady state).
-pub fn simulate_from_scratch(
-    pattern: &CommPattern,
-    cfg: &SimConfig,
-    ready: &[Time],
-    scratch: &mut SimScratch,
-) -> SimResult {
-    let params = cfg.params;
-    simulate_faulted_scratch(
-        pattern,
-        cfg,
-        ready,
-        &mut |m, start| params.arrival_time(start, m.bytes),
-        None,
-        None,
-        scratch,
-    )
-}
-
-/// [`simulate_from`] with a custom *arrival model*: `arrival(msg,
-/// send_start)` returns when the message becomes available at its
-/// destination. The default is the pure LogGP arrival
-/// `send_start + o + (k−1)·G + L`; the machine emulator plugs in jitter
-/// and link contention here. The hook's contract is
-/// `arrival ≥ send_start + o` (a message cannot arrive before its send
-/// overhead completes); a hook that returns an earlier time is **clamped**
-/// to `send_start + o`, in release builds too, so a misbehaving arrival
-/// model can delay messages but never yields an unsound timeline.
-pub fn simulate_hooked(
-    pattern: &CommPattern,
-    cfg: &SimConfig,
-    ready: &[Time],
-    arrival_of: &mut dyn FnMut(&Message, Time) -> Time,
-) -> SimResult {
-    simulate_traced(pattern, cfg, ready, arrival_of, None)
-}
-
-/// [`simulate_hooked`] with an optional [`StepTracer`] observing every
-/// committed operation. Tracing never changes the computed timeline.
-pub fn simulate_traced(
-    pattern: &CommPattern,
-    cfg: &SimConfig,
-    ready: &[Time],
-    arrival_of: &mut dyn FnMut(&Message, Time) -> Time,
-    tracer: Option<&StepTracer<'_>>,
-) -> SimResult {
-    simulate_faulted(pattern, cfg, ready, arrival_of, tracer, None)
-}
-
-/// [`simulate_traced`] under an optional fault model: each message may be
-/// dropped and retransmitted per [`StepFaults::attempts`], with every
-/// attempt charged at the sender (see [`crate::faults`]) and only the final
-/// attempt feeding the arrival model. `faults: None` is exactly
-/// [`simulate_traced`].
-pub fn simulate_faulted(
-    pattern: &CommPattern,
-    cfg: &SimConfig,
-    ready: &[Time],
-    arrival_of: &mut dyn FnMut(&Message, Time) -> Time,
-    tracer: Option<&StepTracer<'_>>,
-    faults: Option<&dyn StepFaults>,
-) -> SimResult {
-    let mut scratch = SimScratch::new();
-    simulate_faulted_scratch(
-        pattern,
-        cfg,
-        ready,
-        arrival_of,
-        tracer,
-        faults,
-        &mut scratch,
-    )
-}
-
-/// [`simulate_faulted`] reusing the caller's [`SimScratch`] buffers.
-pub fn simulate_faulted_scratch(
-    pattern: &CommPattern,
-    cfg: &SimConfig,
-    ready: &[Time],
-    arrival_of: &mut dyn FnMut(&Message, Time) -> Time,
-    tracer: Option<&StepTracer<'_>>,
-    faults: Option<&dyn StepFaults>,
-    scratch: &mut SimScratch,
-) -> SimResult {
-    sim_core(
-        pattern, cfg, ready, arrival_of, tracer, faults, scratch, None,
+    let ready = vec![Time::ZERO; pattern.procs()];
+    CommAlgo::Standard.simulate(
+        StepRequest::new(pattern, cfg, &ready),
+        &mut SimScratch::new(),
     )
 }
 
@@ -287,8 +190,9 @@ fn sim_core_impl<const REC: bool>(
                 tracer,
                 &mut timeline,
             );
-            // Documented clamp: a hook returning < send_start + o is lifted
-            // to the earliest sound arrival.
+            // Documented clamp (see `StepRequest::with_arrival`): a hook
+            // returning < send_start + o is lifted to the earliest sound
+            // arrival.
             let arrival = arrival_of(&msg, final_start).max(final_start + params.overhead);
             scratch.recv_queues[msg.dst].push(Reverse(InFlight {
                 arrival,
@@ -395,6 +299,13 @@ mod tests {
 
     fn meiko_cfg(procs: usize) -> SimConfig {
         SimConfig::new(presets::meiko_cs2(procs))
+    }
+
+    fn simulate_from(pattern: &CommPattern, cfg: &SimConfig, ready: &[Time]) -> SimResult {
+        CommAlgo::Standard.simulate(
+            StepRequest::new(pattern, cfg, ready),
+            &mut SimScratch::new(),
+        )
     }
 
     #[test]
@@ -550,7 +461,9 @@ mod tests {
         // Interleave differently-shaped simulations through one scratch and
         // compare each against a fresh run.
         for pattern in [&big, &small, &big] {
-            let reused = simulate_from_scratch(pattern, &cfg, &[Time::ZERO; 10], &mut scratch);
+            let ready = [Time::ZERO; 10];
+            let reused =
+                CommAlgo::Standard.simulate(StepRequest::new(pattern, &cfg, &ready), &mut scratch);
             let fresh = simulate(pattern, &cfg);
             assert_eq!(reused.timeline.events(), fresh.timeline.events());
             assert_eq!(reused.finish, fresh.finish);
@@ -576,9 +489,11 @@ mod tests {
         let mut pattern = CommPattern::new(2);
         pattern.add(0, 1, 4096);
         let cfg = meiko_cfg(2);
-        let r = simulate_hooked(&pattern, &cfg, &[Time::ZERO; 2], &mut |_m, _start| {
-            Time::ZERO
-        });
+        let mut instant = |_m: &Message, _start: Time| Time::ZERO;
+        let r = CommAlgo::Standard.simulate(
+            StepRequest::new(&pattern, &cfg, &[Time::ZERO; 2]).with_arrival(&mut instant),
+            &mut SimScratch::new(),
+        );
         let send = r.timeline.events_for(0)[0];
         let recv = r.timeline.events_for(1)[0];
         assert_eq!(recv.start, send.start + cfg.params.overhead);

@@ -97,8 +97,8 @@ impl TimelineStats {
     }
 }
 
-/// Record a step's [`TimelineStats`] into a metrics [`Registry`]
-/// (`predsim_obs`): per-processor busy/idle picoseconds and operation
+/// Record a step's [`TimelineStats`] into a metrics
+/// [`Registry`](predsim_obs::Registry): per-processor busy/idle picoseconds and operation
 /// counts as labelled counters, plus step-level completion and queueing
 /// figures. Counters accumulate across steps, so calling this once per
 /// step yields whole-program per-processor totals.

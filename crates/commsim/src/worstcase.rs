@@ -35,105 +35,19 @@ use crate::observe::StepTracer;
 use crate::pattern::{CommPattern, Message};
 use crate::scratch::{InFlight, SimScratch};
 use crate::timeline::{CommEvent, SimResult, Timeline};
-use crate::SimConfig;
+use crate::{CommAlgo, SimConfig, StepRequest};
 use loggp::{GapRule, LogGpParams, OpKind, Time};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Simulate one communication step with the overestimation algorithm.
+/// Simulate one communication step with the overestimation algorithm,
+/// every processor ready at time zero. Ready times, arrival models, tracing
+/// and faults go through [`CommAlgo::simulate`].
 pub fn simulate(pattern: &CommPattern, cfg: &SimConfig) -> SimResult {
-    simulate_from(pattern, cfg, &vec![Time::ZERO; pattern.procs()])
-}
-
-/// [`simulate`] with per-processor earliest communication times (processors
-/// enter the step when their computation phase ends).
-pub fn simulate_from(pattern: &CommPattern, cfg: &SimConfig, ready: &[Time]) -> SimResult {
-    let params = cfg.params;
-    simulate_hooked(pattern, cfg, ready, &mut |m, start| {
-        params.arrival_time(start, m.bytes)
-    })
-}
-
-/// [`simulate_from`] reusing the caller's [`SimScratch`] buffers.
-pub fn simulate_from_scratch(
-    pattern: &CommPattern,
-    cfg: &SimConfig,
-    ready: &[Time],
-    scratch: &mut SimScratch,
-) -> SimResult {
-    let params = cfg.params;
-    simulate_faulted_scratch(
-        pattern,
-        cfg,
-        ready,
-        &mut |m, start| params.arrival_time(start, m.bytes),
-        None,
-        None,
-        scratch,
-    )
-}
-
-/// [`simulate_from`] with a custom arrival model (see
-/// [`crate::standard::simulate_hooked`] for the contract; arrivals earlier
-/// than `send_start + o` are clamped here too).
-pub fn simulate_hooked(
-    pattern: &CommPattern,
-    cfg: &SimConfig,
-    ready: &[Time],
-    arrival_of: &mut dyn FnMut(&Message, Time) -> Time,
-) -> SimResult {
-    simulate_traced(pattern, cfg, ready, arrival_of, None)
-}
-
-/// [`simulate_hooked`] with an optional [`StepTracer`] observing every
-/// committed operation; forced (deadlock-breaking) transmissions are
-/// flagged on their send events. Tracing never changes the timeline.
-pub fn simulate_traced(
-    pattern: &CommPattern,
-    cfg: &SimConfig,
-    ready: &[Time],
-    arrival_of: &mut dyn FnMut(&Message, Time) -> Time,
-    tracer: Option<&StepTracer<'_>>,
-) -> SimResult {
-    simulate_faulted(pattern, cfg, ready, arrival_of, tracer, None)
-}
-
-/// [`simulate_traced`] under an optional fault model (the same contract as
-/// [`crate::standard::simulate_faulted`]): message drops and charged
-/// retransmissions per [`StepFaults`], decided identically to the standard
-/// algorithm so the overestimation bound holds under injection.
-pub fn simulate_faulted(
-    pattern: &CommPattern,
-    cfg: &SimConfig,
-    ready: &[Time],
-    arrival_of: &mut dyn FnMut(&Message, Time) -> Time,
-    tracer: Option<&StepTracer<'_>>,
-    faults: Option<&dyn StepFaults>,
-) -> SimResult {
-    let mut scratch = SimScratch::new();
-    simulate_faulted_scratch(
-        pattern,
-        cfg,
-        ready,
-        arrival_of,
-        tracer,
-        faults,
-        &mut scratch,
-    )
-}
-
-/// [`simulate_faulted`] reusing the caller's [`SimScratch`] buffers.
-pub fn simulate_faulted_scratch(
-    pattern: &CommPattern,
-    cfg: &SimConfig,
-    ready: &[Time],
-    arrival_of: &mut dyn FnMut(&Message, Time) -> Time,
-    tracer: Option<&StepTracer<'_>>,
-    faults: Option<&dyn StepFaults>,
-    scratch: &mut SimScratch,
-) -> SimResult {
-    wc_core(
-        pattern, cfg, ready, arrival_of, tracer, faults, scratch, None,
+    let ready = vec![Time::ZERO; pattern.procs()];
+    CommAlgo::WorstCase.simulate(
+        StepRequest::new(pattern, cfg, &ready),
+        &mut SimScratch::new(),
     )
 }
 
@@ -163,7 +77,7 @@ fn wc_send(
         tracer,
         timeline,
     );
-    // Documented clamp (see `standard::simulate_hooked`): an arrival model
+    // Documented clamp (see `StepRequest::with_arrival`): an arrival model
     // returning < send_start + o is lifted to the earliest sound arrival,
     // in release builds too.
     let arrival = arrival_of(&msg, final_start).max(final_start + params.overhead);
@@ -448,7 +362,10 @@ mod tests {
         pattern.add(0, 1, 1);
         let cfg = meiko_cfg(2);
         let delay = Time::from_us(50.0);
-        let wc = simulate_from(&pattern, &cfg, &[delay, Time::ZERO]);
+        let wc = CommAlgo::WorstCase.simulate(
+            StepRequest::new(&pattern, &cfg, &[delay, Time::ZERO]),
+            &mut SimScratch::new(),
+        );
         assert_eq!(wc.timeline.events_for(0)[0].start, delay);
         check(&pattern, &cfg, &wc);
     }
@@ -471,7 +388,9 @@ mod tests {
             patterns::all_to_all(8, 64),
             patterns::ring(8, 1024),
         ] {
-            let reused = simulate_from_scratch(&pattern, &cfg, &[Time::ZERO; 8], &mut scratch);
+            let ready = [Time::ZERO; 8];
+            let reused = CommAlgo::WorstCase
+                .simulate(StepRequest::new(&pattern, &cfg, &ready), &mut scratch);
             let fresh = simulate(&pattern, &cfg);
             assert_eq!(reused.timeline.events(), fresh.timeline.events());
             assert_eq!(reused.forced_sends, fresh.forced_sends);
@@ -483,9 +402,11 @@ mod tests {
         let mut pattern = CommPattern::new(2);
         pattern.add(0, 1, 4096);
         let cfg = meiko_cfg(2);
-        let r = simulate_hooked(&pattern, &cfg, &[Time::ZERO; 2], &mut |_m, _start| {
-            Time::ZERO
-        });
+        let mut instant = |_m: &Message, _start: Time| Time::ZERO;
+        let r = CommAlgo::WorstCase.simulate(
+            StepRequest::new(&pattern, &cfg, &[Time::ZERO; 2]).with_arrival(&mut instant),
+            &mut SimScratch::new(),
+        );
         let send = r.timeline.events_for(0)[0];
         let recv = r.timeline.events_for(1)[0];
         assert_eq!(recv.start, send.start + cfg.params.overhead);

@@ -10,10 +10,11 @@
 
 use commsim::faults::StepFaults;
 use commsim::{
-    patterns, reference, replay, standard, worstcase, CommPattern, Message, SimConfig, SimScratch,
-    TieBreak,
+    patterns, reference, CommAlgo, CommPattern, Message, SimConfig, SimResult, SimScratch,
+    StepRequest, StepTracer, TieBreak,
 };
 use loggp::{LogGpParams, Time};
+use predsim_obs::MemorySink;
 use proptest::prelude::*;
 
 fn arb_params() -> impl Strategy<Value = LogGpParams> {
@@ -82,6 +83,19 @@ impl StepFaults for HashDrops {
     }
 }
 
+/// A plain request through a fresh scratch.
+fn simulate_from(
+    algo: CommAlgo,
+    pattern: &CommPattern,
+    cfg: &SimConfig,
+    ready: &[Time],
+) -> SimResult {
+    algo.simulate(
+        StepRequest::new(pattern, cfg, ready),
+        &mut SimScratch::new(),
+    )
+}
+
 fn assert_same(label: &str, new: &commsim::SimResult, old: &commsim::SimResult) {
     assert_eq!(
         new.timeline.events(),
@@ -113,7 +127,7 @@ proptest! {
         let procs = pattern.procs();
         let cfg = make_cfg(params, procs, random_ties, classic, seed);
         let ready = &ready[..procs];
-        let new = standard::simulate_from(&pattern, &cfg, ready);
+        let new = simulate_from(CommAlgo::Standard, &pattern, &cfg, ready);
         let old = reference::standard_simulate_from(&pattern, &cfg, ready);
         assert_same("standard", &new, &old);
     }
@@ -131,7 +145,7 @@ proptest! {
         let procs = pattern.procs();
         let cfg = make_cfg(params, procs, false, classic, seed);
         let ready = &ready[..procs];
-        let new = worstcase::simulate_from(&pattern, &cfg, ready);
+        let new = simulate_from(CommAlgo::WorstCase, &pattern, &cfg, ready);
         let old = reference::worstcase_simulate_from(&pattern, &cfg, ready);
         assert_same("worstcase", &new, &old);
     }
@@ -159,16 +173,20 @@ proptest! {
         };
 
         let mut h1 = hook;
-        let new_std = standard::simulate_faulted(
-            &pattern, &cfg, ready, &mut h1, None, Some(&faults));
+        let new_std = CommAlgo::Standard.simulate(
+            StepRequest::new(&pattern, &cfg, ready).with_arrival(&mut h1).with_faults(&faults),
+            &mut SimScratch::new(),
+        );
         let mut h2 = hook;
         let old_std = reference::standard_simulate_faulted(
             &pattern, &cfg, ready, &mut h2, None, Some(&faults));
         assert_same("standard+faults+hook", &new_std, &old_std);
 
         let mut h3 = hook;
-        let new_wc = worstcase::simulate_faulted(
-            &pattern, &cfg, ready, &mut h3, None, Some(&faults));
+        let new_wc = CommAlgo::WorstCase.simulate(
+            StepRequest::new(&pattern, &cfg, ready).with_arrival(&mut h3).with_faults(&faults),
+            &mut SimScratch::new(),
+        );
         let mut h4 = hook;
         let old_wc = reference::worstcase_simulate_faulted(
             &pattern, &cfg, ready, &mut h4, None, Some(&faults));
@@ -197,12 +215,18 @@ proptest! {
             Time::from_ps(params.arrival_time(start, m.bytes).as_ps() / shrink_den)
         };
         let mut h1 = hook;
-        let new = standard::simulate_hooked(&pattern, &cfg, ready, &mut h1);
+        let new = CommAlgo::Standard.simulate(
+            StepRequest::new(&pattern, &cfg, ready).with_arrival(&mut h1),
+            &mut SimScratch::new(),
+        );
         let mut h2 = hook;
         let old = reference::standard_simulate_faulted(&pattern, &cfg, ready, &mut h2, None, None);
         assert_same("standard+clamped-hook", &new, &old);
         let mut h3 = hook;
-        let new_wc = worstcase::simulate_hooked(&pattern, &cfg, ready, &mut h3);
+        let new_wc = CommAlgo::WorstCase.simulate(
+            StepRequest::new(&pattern, &cfg, ready).with_arrival(&mut h3),
+            &mut SimScratch::new(),
+        );
         let mut h4 = hook;
         let old_wc = reference::worstcase_simulate_faulted(&pattern, &cfg, ready, &mut h4, None, None);
         assert_same("worstcase+clamped-hook", &new_wc, &old_wc);
@@ -210,7 +234,8 @@ proptest! {
 
     /// A reused scratch never changes results: interleaving differently
     /// shaped simulations through one scratch is bit-identical to fresh
-    /// runs.
+    /// runs — plain, traced, fault-injected, and both at once, with the
+    /// emitted trace streams identical too.
     #[test]
     fn scratch_reuse_matches_fresh(
         params in arb_params(),
@@ -220,18 +245,35 @@ proptest! {
         classic in proptest::bool::ANY,
         seed in any::<u64>(),
         ready in arb_ready(),
+        fault_seed in any::<u64>(),
     ) {
+        let faults = HashDrops { seed: fault_seed };
         let mut scratch = SimScratch::new();
         for pattern in [&a, &b, &a] {
             let procs = pattern.procs();
             let cfg = make_cfg(params, procs, random_ties, classic, seed);
             let ready = &ready[..procs];
-            let reused = standard::simulate_from_scratch(pattern, &cfg, ready, &mut scratch);
-            let fresh = standard::simulate_from(pattern, &cfg, ready);
-            assert_same("std scratch reuse", &reused, &fresh);
-            let reused = worstcase::simulate_from_scratch(pattern, &cfg, ready, &mut scratch);
-            let fresh = worstcase::simulate_from(pattern, &cfg, ready);
-            assert_same("wc scratch reuse", &reused, &fresh);
+            for algo in [CommAlgo::Standard, CommAlgo::WorstCase] {
+                for (traced, faulted) in [(false, false), (true, false), (false, true), (true, true)] {
+                    let run = |sink: &MemorySink, scratch: &mut SimScratch| {
+                        let tracer = StepTracer::new(sink, 3);
+                        let mut req = StepRequest::new(pattern, &cfg, ready);
+                        if traced {
+                            req = req.with_tracer(&tracer);
+                        }
+                        if faulted {
+                            req = req.with_faults(&faults);
+                        }
+                        algo.simulate(req, scratch)
+                    };
+                    let (reused_sink, fresh_sink) = (MemorySink::new(), MemorySink::new());
+                    let reused = run(&reused_sink, &mut scratch);
+                    let fresh = run(&fresh_sink, &mut SimScratch::new());
+                    let label = format!("{algo:?} scratch reuse traced={traced} faulted={faulted}");
+                    assert_same(&label, &reused, &fresh);
+                    prop_assert_eq!(reused_sink.events(), fresh_sink.events(), "{}", label);
+                }
+            }
         }
     }
 
@@ -252,8 +294,8 @@ proptest! {
         let base_cfg = make_cfg(base, procs, false, classic, 0);
         let ready = &ready[..procs];
         let mut scratch = SimScratch::new();
-        let (recorded, rec) = replay::record_standard(&pattern, &base_cfg, ready, &mut scratch);
-        let direct = standard::simulate_from(&pattern, &base_cfg, ready);
+        let (recorded, rec) = CommAlgo::Standard.record(&pattern, &base_cfg, ready, &mut scratch);
+        let direct = simulate_from(CommAlgo::Standard, &pattern, &base_cfg, ready);
         assert_same("recording run", &recorded, &direct);
 
         // Replaying at the *same* params must always accept and agree.
@@ -264,7 +306,7 @@ proptest! {
         // At different params, accept ⇒ bit-identical to a full run.
         let alt_cfg = make_cfg(alt, procs, false, classic, 0);
         if let Some(replayed) = rec.replay(&pattern, &alt_cfg, ready, &mut scratch) {
-            let full = standard::simulate_from(&pattern, &alt_cfg, ready);
+            let full = simulate_from(CommAlgo::Standard, &pattern, &alt_cfg, ready);
             assert_same("replay@alt", &replayed, &full);
         }
     }
@@ -284,14 +326,14 @@ proptest! {
         let base_cfg = make_cfg(base, procs, false, classic, seed);
         let ready = &ready[..procs];
         let mut scratch = SimScratch::new();
-        let (recorded, rec) = replay::record_worstcase(&pattern, &base_cfg, ready, &mut scratch);
-        let direct = worstcase::simulate_from(&pattern, &base_cfg, ready);
+        let (recorded, rec) = CommAlgo::WorstCase.record(&pattern, &base_cfg, ready, &mut scratch);
+        let direct = simulate_from(CommAlgo::WorstCase, &pattern, &base_cfg, ready);
         assert_same("wc recording run", &recorded, &direct);
 
         let alt_cfg = make_cfg(alt, procs, false, classic, seed);
         let replayed = rec.replay(&pattern, &alt_cfg, ready, &mut scratch)
             .expect("worst-case replay is unconditional for matching seeds");
-        let full = worstcase::simulate_from(&pattern, &alt_cfg, ready);
+        let full = simulate_from(CommAlgo::WorstCase, &pattern, &alt_cfg, ready);
         assert_same("wc replay@alt", &replayed, &full);
     }
 }

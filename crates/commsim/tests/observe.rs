@@ -4,7 +4,10 @@
 //! figures the `stats`/`gantt` render paths report.
 
 use commsim::observe::StepTracer;
-use commsim::{patterns, standard, stats, worstcase, CommPattern, SimConfig};
+use commsim::{
+    patterns, standard, stats, worstcase, CommAlgo, CommPattern, SimConfig, SimResult, SimScratch,
+    StepRequest,
+};
 use loggp::{presets, Time};
 use predsim_obs::{HorizonProfile, MemorySink, Registry, TraceEvent};
 
@@ -12,8 +15,17 @@ fn meiko_cfg(procs: usize) -> SimConfig {
     SimConfig::new(presets::meiko_cs2(procs))
 }
 
-fn loggp_arrival(cfg: &SimConfig) -> impl FnMut(&commsim::Message, Time) -> Time + '_ {
-    move |m, start| cfg.params.arrival_time(start, m.bytes)
+fn simulate_traced(
+    algo: CommAlgo,
+    pattern: &CommPattern,
+    cfg: &SimConfig,
+    ready: &[Time],
+    tracer: &StepTracer<'_>,
+) -> SimResult {
+    algo.simulate(
+        StepRequest::new(pattern, cfg, ready).with_tracer(tracer),
+        &mut SimScratch::new(),
+    )
 }
 
 #[test]
@@ -24,13 +36,7 @@ fn tracing_does_not_change_the_standard_timeline() {
     let plain = standard::simulate(&pattern, &cfg);
     let sink = MemorySink::new();
     let tracer = StepTracer::new(&sink, 0);
-    let traced = standard::simulate_traced(
-        &pattern,
-        &cfg,
-        &ready,
-        &mut loggp_arrival(&cfg),
-        Some(&tracer),
-    );
+    let traced = simulate_traced(CommAlgo::Standard, &pattern, &cfg, &ready, &tracer);
     assert_eq!(plain.timeline.events(), traced.timeline.events());
     assert_eq!(plain.finish, traced.finish);
     assert!(!sink.is_empty());
@@ -44,13 +50,7 @@ fn tracing_does_not_change_the_worstcase_timeline() {
     let plain = worstcase::simulate(&pattern, &cfg);
     let sink = MemorySink::new();
     let tracer = StepTracer::new(&sink, 3);
-    let traced = worstcase::simulate_traced(
-        &pattern,
-        &cfg,
-        &ready,
-        &mut loggp_arrival(&cfg),
-        Some(&tracer),
-    );
+    let traced = simulate_traced(CommAlgo::WorstCase, &pattern, &cfg, &ready, &tracer);
     assert_eq!(plain.timeline.events(), traced.timeline.events());
     assert_eq!(plain.forced_sends, traced.forced_sends);
     // The cycle's deadlock-breaking transmissions are flagged in the trace.
@@ -69,13 +69,7 @@ fn trace_covers_every_network_message() {
     let ready = vec![Time::ZERO; pattern.procs()];
     let sink = MemorySink::new();
     let tracer = StepTracer::new(&sink, 0);
-    let r = standard::simulate_traced(
-        &pattern,
-        &cfg,
-        &ready,
-        &mut loggp_arrival(&cfg),
-        Some(&tracer),
-    );
+    let r = simulate_traced(CommAlgo::Standard, &pattern, &cfg, &ready, &tracer);
     let events = sink.events();
     let sends = events
         .iter()
@@ -114,13 +108,7 @@ fn gap_stalls_match_stats_queueing() {
     let ready = vec![Time::ZERO; 6];
     let sink = MemorySink::new();
     let tracer = StepTracer::new(&sink, 0);
-    let r = standard::simulate_traced(
-        &pattern,
-        &cfg,
-        &ready,
-        &mut loggp_arrival(&cfg),
-        Some(&tracer),
-    );
+    let r = simulate_traced(CommAlgo::Standard, &pattern, &cfg, &ready, &tracer);
     let st = stats::analyze(&pattern, &cfg, &r.timeline);
     let stalled_total: u64 = sink
         .events()

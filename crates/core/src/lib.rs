@@ -61,8 +61,7 @@ pub use layout::{BlockCyclic2D, ColCyclic, Diagonal, Layout, RowCyclic};
 pub use program::{Program, ProgramError, Step, StepLoad};
 pub use replay::{record_program, ProgramRecording, ReplayStats};
 pub use simulate::{
-    simulate_program, simulate_program_driven, simulate_program_observed, simulate_program_traced,
-    simulate_program_with, CommAlgo, CompShaper, DirectStepSimulator, FrontEmitter, IdentityShaper,
-    NullObserver, Overlap, Prediction, ProgramObserver, SimBudget, SimHalt, SimOptions, SimRun,
-    StepRecord, StepSimulator, Synchronization, TracedStepSimulator,
+    simulate_program, simulate_request, CommAlgo, DirectStepSimulator, FaultHook, Overlap,
+    Prediction, SimBudget, SimHalt, SimOptions, SimRequest, SimRun, StepCall, StepFaultView,
+    StepRecord, StepSimulator, Synchronization,
 };

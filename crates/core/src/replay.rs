@@ -22,12 +22,10 @@
 
 use crate::program::Program;
 use crate::simulate::{
-    simulate_program_driven, CommAlgo, IdentityShaper, NullObserver, Overlap, Prediction,
-    SimBudget, SimOptions, StepRecord, StepSimulator, Synchronization,
+    simulate_request, CommAlgo, DirectStepSimulator, Prediction, SimOptions, SimRequest, StepCall,
+    StepSimulator,
 };
-use commsim::replay::{record_standard, record_worstcase};
-use commsim::{standard, worstcase, Recording, SimResult, SimScratch, StepEnds};
-use loggp::Time;
+use commsim::{Recording, SimScratch, StepEnds};
 
 /// The commit orders of every communication step of one recorded program
 /// simulation, in program order. Produced by [`record_program`].
@@ -56,115 +54,53 @@ impl ProgramRecording {
     /// where provably valid and re-simulating the rest. The prediction is
     /// bit-identical to `simulate_program(prog, opts)`.
     ///
-    /// This is a lean clone of the whole-program fold: replayed steps go
-    /// through [`Recording::retime`], which computes the per-processor
-    /// completion maxima the fold consumes without building a timeline or
-    /// any per-event state, so an all-fast-path re-prediction does no
-    /// per-message allocation at all. Refused steps transparently fall
-    /// back to the full hot loop. `fold_identity_across_options` and the
-    /// sweep tests below pin the fold against
-    /// [`simulate_program`](crate::simulate_program) across
-    /// synchronization, overlap and algorithm options.
+    /// The program runs through the one whole-program fold
+    /// ([`simulate_request`]) on a replaying backend: each communication
+    /// step goes through [`Recording::retime`], which computes the
+    /// per-processor completion maxima the fold consumes without building
+    /// a timeline or any per-event state, so an all-fast-path
+    /// re-prediction does no per-message allocation at all. Refused steps
+    /// transparently fall back to the full hot loop.
+    /// `fold_identity_across_options` and the sweep tests below pin the
+    /// result against [`simulate_program`](crate::simulate_program)
+    /// across synchronization, overlap and algorithm options.
     pub fn predict(&self, prog: &Program, opts: &SimOptions) -> (Prediction, ReplayStats) {
-        let recordings: &[Recording] = if opts.algo == self.algo {
-            &self.steps
-        } else {
-            &[]
-        };
-        let mut stats = ReplayStats::default();
-        let mut scratch = SimScratch::new();
-        let mut ends = StepEnds::default();
-        let mut next_rec = 0usize;
-
-        let procs = prog.procs();
-        let mut ready = vec![Time::ZERO; procs];
-        let mut per_proc_comp = vec![Time::ZERO; procs];
-        let mut per_proc_comm = vec![Time::ZERO; procs];
-        let mut comp_end = vec![Time::ZERO; procs];
-        let mut steps = Vec::with_capacity(prog.len());
-        let mut forced_sends = 0usize;
-
-        for step in prog.steps() {
-            let start = ready.iter().copied().min().unwrap_or(Time::ZERO);
-
-            for p in 0..procs {
-                let charge = if step.comp.is_empty() {
-                    Time::ZERO
-                } else {
-                    step.comp[p]
-                };
-                comp_end[p] = ready[p] + charge;
-                per_proc_comp[p] += charge;
-            }
-            let comp_end_max = comp_end.iter().copied().max().unwrap_or(Time::ZERO);
-
-            let comm_end_max = if step.comm.is_empty() {
-                ready.copy_from_slice(&comp_end);
-                comp_end_max
+        let mut backend = ReplayBackend {
+            recordings: if opts.algo == self.algo {
+                &self.steps
             } else {
-                let rec = recordings.get(next_rec);
-                next_rec += 1;
-                let replayed = rec.is_some_and(|rec| {
-                    rec.retime(&step.comm, &opts.cfg, &comp_end, &mut scratch, &mut ends)
-                });
-                if replayed {
-                    stats.replayed += 1;
-                } else {
-                    stats.resimulated += 1;
-                    let result = match opts.algo {
-                        CommAlgo::Standard => standard::simulate_from_scratch(
-                            &step.comm,
-                            &opts.cfg,
-                            &comp_end,
-                            &mut scratch,
-                        ),
-                        CommAlgo::WorstCase => worstcase::simulate_from_scratch(
-                            &step.comm,
-                            &opts.cfg,
-                            &comp_end,
-                            &mut scratch,
-                        ),
-                    };
-                    ends.reset(&comp_end);
-                    ends.absorb(&result);
-                }
-                forced_sends += ends.forced_sends;
-                for p in 0..procs {
-                    per_proc_comm[p] += ends.comm_done[p] - comp_end[p];
-                }
-                ready.copy_from_slice(match opts.overlap {
-                    Overlap::None => &ends.comm_done,
-                    Overlap::RecvOnly => &ends.last_recv_done,
-                });
-                ends.comm_done.iter().copied().max().unwrap_or(comp_end_max)
-            };
-
-            if opts.sync == Synchronization::Barrier {
-                let max = ready.iter().copied().max().unwrap_or(Time::ZERO);
-                ready.fill(max);
-            }
-
-            steps.push(StepRecord {
-                label: step.label.clone(),
-                start,
-                comp_end: comp_end_max,
-                comm_end: comm_end_max,
-                forced_sends,
-            });
-        }
-
-        let total = ready.iter().copied().max().unwrap_or(Time::ZERO);
-        let prediction = Prediction {
-            total,
-            comp_time: per_proc_comp.iter().copied().max().unwrap_or(Time::ZERO),
-            comm_time: per_proc_comm.iter().copied().max().unwrap_or(Time::ZERO),
-            per_proc_comp,
-            per_proc_comm,
-            per_proc_finish: ready,
-            steps,
-            forced_sends,
+                &[]
+            },
+            next: 0,
+            direct: DirectStepSimulator::new(),
+            stats: ReplayStats::default(),
         };
-        (prediction, stats)
+        let run = simulate_request(prog, opts, SimRequest::default().with_backend(&mut backend));
+        (run.prediction, backend.stats)
+    }
+}
+
+/// Backend of [`ProgramRecording::predict`]: re-time each step from its
+/// recording, or simulate it in full where the recording refuses.
+struct ReplayBackend<'a> {
+    recordings: &'a [Recording],
+    next: usize,
+    /// Fallback simulator; its scratch also serves the re-timing.
+    direct: DirectStepSimulator,
+    stats: ReplayStats,
+}
+
+impl StepSimulator for ReplayBackend<'_> {
+    fn simulate_step(&mut self, call: &StepCall<'_>, ends: &mut StepEnds) {
+        let rec = self.recordings.get(self.next);
+        self.next += 1;
+        let scratch = &mut self.direct.scratch;
+        if rec.is_some_and(|rec| rec.retime(call.comm, &call.opts.cfg, call.ready, scratch, ends)) {
+            self.stats.replayed += 1;
+        } else {
+            self.stats.resimulated += 1;
+            self.direct.simulate_step(call, ends);
+        }
     }
 }
 
@@ -201,22 +137,14 @@ impl ReplayStats {
 /// [`Prediction`] is bit-identical to `simulate_program(prog, opts)`.
 pub fn record_program(prog: &Program, opts: &SimOptions) -> (Prediction, ProgramRecording) {
     let mut backend = RecordingBackend {
-        algo: opts.algo,
         scratch: SimScratch::new(),
         steps: Vec::new(),
     };
-    let run = simulate_program_driven(
-        prog,
-        opts,
-        &mut backend,
-        &mut NullObserver,
-        &mut IdentityShaper,
-        SimBudget::unlimited(),
-    );
+    let run = simulate_request(prog, opts, SimRequest::default().with_backend(&mut backend));
     (
         run.prediction,
         ProgramRecording {
-            algo: backend.algo,
+            algo: opts.algo,
             steps: backend.steps,
         },
     )
@@ -225,24 +153,19 @@ pub fn record_program(prog: &Program, opts: &SimOptions) -> (Prediction, Program
 /// Backend of [`record_program`]: the direct algorithms with the recording
 /// hook enabled.
 struct RecordingBackend {
-    algo: CommAlgo,
     scratch: SimScratch,
     steps: Vec<Recording>,
 }
 
 impl StepSimulator for RecordingBackend {
-    fn simulate_comm(
-        &mut self,
-        comm: &commsim::CommPattern,
-        opts: &SimOptions,
-        ready: &[Time],
-    ) -> SimResult {
-        let (result, rec) = match opts.algo {
-            CommAlgo::Standard => record_standard(comm, &opts.cfg, ready, &mut self.scratch),
-            CommAlgo::WorstCase => record_worstcase(comm, &opts.cfg, ready, &mut self.scratch),
-        };
+    fn simulate_step(&mut self, call: &StepCall<'_>, ends: &mut StepEnds) {
+        let (result, rec) =
+            call.opts
+                .algo
+                .record(call.comm, &call.opts.cfg, call.ready, &mut self.scratch);
         self.steps.push(rec);
-        result
+        ends.reset(call.ready);
+        ends.absorb(&result);
     }
 }
 
@@ -252,7 +175,7 @@ mod tests {
     use crate::program::Step;
     use crate::simulate::simulate_program;
     use commsim::{patterns, SimConfig};
-    use loggp::{presets, LogGpParams};
+    use loggp::{presets, LogGpParams, Time};
 
     fn sample_program(procs: usize) -> Program {
         let mut prog = Program::new(procs);

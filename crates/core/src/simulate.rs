@@ -2,17 +2,14 @@
 //! LogGP-simulated communication steps.
 
 use crate::program::Program;
-use commsim::{standard, worstcase, SimConfig, SimResult};
+use commsim::faults::StepFaults;
+use commsim::{
+    CommPattern, Message, SimConfig, SimResult, SimScratch, StepEnds, StepRequest, StepTracer,
+};
 use loggp::Time;
+use predsim_obs::{TraceEvent, TraceSink};
 
-/// Which communication-step algorithm to use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CommAlgo {
-    /// The paper's Figure 2 algorithm (receive priority, eager sends).
-    Standard,
-    /// The §4.2 overestimation algorithm (receive everything first).
-    WorstCase,
-}
+pub use commsim::CommAlgo;
 
 /// How processors synchronize between steps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -193,42 +190,122 @@ impl Prediction {
     }
 }
 
-/// Pluggable communication-step backend for [`simulate_program_with`].
-///
-/// The whole-program simulator is a fold over steps; everything expensive
-/// happens inside the per-step LogGP simulation. Abstracting that one call
-/// lets alternative backends — most notably `predsim-engine`'s
-/// fingerprint-memoizing cache — slot under the unchanged program loop
-/// while guaranteeing identical results.
-pub trait StepSimulator {
-    /// Simulate the communication pattern of one step, with processor `p`
-    /// unable to start communicating before `ready[p]`. Must return exactly
-    /// what the direct algorithms in [`commsim`] would.
-    fn simulate_comm(
-        &mut self,
-        comm: &commsim::CommPattern,
-        opts: &SimOptions,
-        ready: &[Time],
-    ) -> SimResult;
+/// Fault injection into the whole-program fold, keyed by program step
+/// index. One hook answers both halves: the fold asks it for every
+/// computation charge (transient slowdowns, fail-stop outages), and the
+/// communication algorithms ask it — through a [`StepFaultView`] — how
+/// often each message is dropped. Decisions must not depend on virtual
+/// time, so the standard and the worst-case algorithm see identical
+/// faults.
+pub trait FaultHook {
+    /// The effective computation charge of processor `proc` in step
+    /// `step`. `base` is the program's own charge ([`Time::ZERO`] on
+    /// computation-free steps); the returned value replaces it in the fold
+    /// and in the computation ledger. Trace events describing the fault go
+    /// to `sink` when the run is traced.
+    fn comp_charge(
+        &self,
+        step: usize,
+        proc: usize,
+        base: Time,
+        sink: Option<&dyn TraceSink>,
+    ) -> Time;
 
-    /// [`StepSimulator::simulate_comm`] with the program step index
-    /// attached. The whole-program fold calls this variant; the default
-    /// implementation ignores the index and delegates, so existing
-    /// backends keep working unchanged. Backends that emit step-stamped
-    /// trace events override it.
-    fn simulate_comm_step(
-        &mut self,
-        step_idx: usize,
-        comm: &commsim::CommPattern,
-        opts: &SimOptions,
-        ready: &[Time],
-    ) -> SimResult {
-        let _ = step_idx;
-        self.simulate_comm(comm, opts, ready)
+    /// Total transmission attempts of `msg` in step `step`, at least 1;
+    /// the network drops every attempt but the last.
+    fn attempts(&self, step: usize, msg: &Message) -> u32;
+
+    /// Retransmission timeout armed after the given (zero-based) dropped
+    /// attempt.
+    fn rto(&self, attempt: u32) -> Time;
+}
+
+/// A [`FaultHook`] narrowed to one program step: the
+/// [`commsim::faults::StepFaults`] view the communication algorithms
+/// consult for per-message drop decisions.
+#[derive(Clone, Copy)]
+pub struct StepFaultView<'a> {
+    hook: &'a dyn FaultHook,
+    step: usize,
+}
+
+impl<'a> StepFaultView<'a> {
+    /// The view of `hook` at program step `step`.
+    pub fn new(hook: &'a dyn FaultHook, step: usize) -> Self {
+        StepFaultView { hook, step }
     }
 }
 
-/// The pass-through backend: call the [`commsim`] algorithms directly.
+impl StepFaults for StepFaultView<'_> {
+    fn attempts(&self, msg: &Message) -> u32 {
+        self.hook.attempts(self.step, msg)
+    }
+
+    fn rto(&self, attempt: u32) -> Time {
+        self.hook.rto(attempt)
+    }
+}
+
+/// One communication step as the whole-program fold hands it to a
+/// [`StepSimulator`].
+#[derive(Clone, Copy)]
+pub struct StepCall<'a> {
+    /// Index of the program step.
+    pub index: usize,
+    /// The step's communication pattern.
+    pub comm: &'a CommPattern,
+    /// The run's options.
+    pub opts: &'a SimOptions,
+    /// Processor `p` may not start communicating before `ready[p]`.
+    pub ready: &'a [Time],
+    /// Trace sink of a traced run: every committed operation is emitted,
+    /// stamped with [`StepCall::index`].
+    pub sink: Option<&'a dyn TraceSink>,
+    /// Fault hook of a fault-injected run.
+    pub faults: Option<&'a dyn FaultHook>,
+}
+
+impl StepCall<'_> {
+    /// True when the step is neither traced nor fault-injected: its result
+    /// is then a pure function of the pattern, the options and the ready
+    /// times, which is what caching and replaying backends rely on.
+    pub fn is_plain(&self) -> bool {
+        self.sink.is_none() && self.faults.is_none()
+    }
+
+    /// Run the step on the direct [`commsim`] algorithms in `scratch`,
+    /// with the call's tracer and fault view attached.
+    pub fn run(&self, scratch: &mut SimScratch) -> SimResult {
+        let tracer = self.sink.map(|s| StepTracer::new(s, self.index as u64));
+        let view = self.faults.map(|h| StepFaultView::new(h, self.index));
+        let mut req = StepRequest::new(self.comm, &self.opts.cfg, self.ready);
+        if let Some(t) = &tracer {
+            req = req.with_tracer(t);
+        }
+        if let Some(v) = &view {
+            req = req.with_faults(v);
+        }
+        self.opts.algo.simulate(req, scratch)
+    }
+}
+
+/// Pluggable communication-step backend of the whole-program fold.
+///
+/// The fold is the same for every run; everything expensive happens inside
+/// the per-step LogGP simulation. Abstracting that one call lets
+/// alternative backends — `predsim-engine`'s fingerprint-memoizing cache,
+/// the recording and replaying backends of [`crate::replay`] — slot under
+/// the unchanged program loop while guaranteeing identical results.
+pub trait StepSimulator {
+    /// Simulate one communication step and leave its per-processor
+    /// completion times in `ends`: exactly what
+    /// [`StepEnds::reset`]`(call.ready)` followed by [`StepEnds::absorb`]
+    /// of [`StepCall::run`]'s result would leave there.
+    fn simulate_step(&mut self, call: &StepCall<'_>, ends: &mut StepEnds);
+}
+
+/// The direct backend: the [`commsim`] algorithms, plain, traced or
+/// fault-injected as the [`StepCall`] asks.
 ///
 /// Owns a [`commsim::SimScratch`] that is reused across steps, so the
 /// per-step queue/heap/arena allocations of the hot loop are amortized
@@ -236,7 +313,7 @@ pub trait StepSimulator {
 /// Results are bit-identical to fresh per-step simulations.
 #[derive(Debug, Default)]
 pub struct DirectStepSimulator {
-    scratch: commsim::SimScratch,
+    pub(crate) scratch: SimScratch,
 }
 
 impl DirectStepSimulator {
@@ -247,127 +324,10 @@ impl DirectStepSimulator {
 }
 
 impl StepSimulator for DirectStepSimulator {
-    fn simulate_comm(
-        &mut self,
-        comm: &commsim::CommPattern,
-        opts: &SimOptions,
-        ready: &[Time],
-    ) -> SimResult {
-        match opts.algo {
-            CommAlgo::Standard => {
-                standard::simulate_from_scratch(comm, &opts.cfg, ready, &mut self.scratch)
-            }
-            CommAlgo::WorstCase => {
-                worstcase::simulate_from_scratch(comm, &opts.cfg, ready, &mut self.scratch)
-            }
-        }
-    }
-}
-
-/// A tracing backend: the direct [`commsim`] algorithms with a
-/// [`predsim_obs::TraceSink`] attached, so every committed send/receive
-/// (plus gap stalls and drain markers) is emitted, stamped with the
-/// program step index. Produces exactly [`DirectStepSimulator`]'s results.
-pub struct TracedStepSimulator<'a> {
-    sink: &'a dyn predsim_obs::TraceSink,
-}
-
-impl<'a> TracedStepSimulator<'a> {
-    /// A backend emitting into `sink`.
-    pub fn new(sink: &'a dyn predsim_obs::TraceSink) -> Self {
-        TracedStepSimulator { sink }
-    }
-}
-
-impl StepSimulator for TracedStepSimulator<'_> {
-    fn simulate_comm(
-        &mut self,
-        comm: &commsim::CommPattern,
-        opts: &SimOptions,
-        ready: &[Time],
-    ) -> SimResult {
-        self.simulate_comm_step(0, comm, opts, ready)
-    }
-
-    fn simulate_comm_step(
-        &mut self,
-        step_idx: usize,
-        comm: &commsim::CommPattern,
-        opts: &SimOptions,
-        ready: &[Time],
-    ) -> SimResult {
-        let tracer = commsim::StepTracer::new(self.sink, step_idx as u64);
-        let params = opts.cfg.params;
-        let mut arrival = |m: &commsim::Message, start: Time| params.arrival_time(start, m.bytes);
-        match opts.algo {
-            CommAlgo::Standard => {
-                standard::simulate_traced(comm, &opts.cfg, ready, &mut arrival, Some(&tracer))
-            }
-            CommAlgo::WorstCase => {
-                worstcase::simulate_traced(comm, &opts.cfg, ready, &mut arrival, Some(&tracer))
-            }
-        }
-    }
-}
-
-/// Observer of the whole-program fold: called after every step with the
-/// per-processor virtual-time front (each processor's readiness for the
-/// next step). This is the hook the horizon profile is computed from.
-pub trait ProgramObserver {
-    /// `front[p]` is processor `p`'s virtual time after step `step_idx`.
-    fn step_done(&mut self, step_idx: usize, front: &[Time]);
-}
-
-/// A [`ProgramObserver`] emitting one [`predsim_obs::TraceEvent::Front`]
-/// per processor per step into a [`predsim_obs::TraceSink`].
-pub struct FrontEmitter<'a> {
-    sink: &'a dyn predsim_obs::TraceSink,
-}
-
-impl<'a> FrontEmitter<'a> {
-    /// An emitter writing to `sink`.
-    pub fn new(sink: &'a dyn predsim_obs::TraceSink) -> Self {
-        FrontEmitter { sink }
-    }
-}
-
-impl ProgramObserver for FrontEmitter<'_> {
-    fn step_done(&mut self, step_idx: usize, front: &[Time]) {
-        for (proc, t) in front.iter().enumerate() {
-            self.sink.emit(&predsim_obs::TraceEvent::Front {
-                step: step_idx as u64,
-                proc,
-                ps: t.as_ps(),
-            });
-        }
-    }
-}
-
-/// The do-nothing [`ProgramObserver`].
-pub struct NullObserver;
-
-impl ProgramObserver for NullObserver {
-    fn step_done(&mut self, _step_idx: usize, _front: &[Time]) {}
-}
-
-/// Reshapes per-step, per-processor computation charges before they are
-/// applied — the hook fault injection uses for transient slowdowns and
-/// fail-stop outages. `base` is the program's own charge for the step
-/// ([`Time::ZERO`] on computation-free steps); the returned value replaces
-/// it in the fold and in the computation ledger.
-pub trait CompShaper {
-    /// The effective computation charge of processor `proc` in step
-    /// `step_idx`.
-    fn comp_charge(&mut self, step_idx: usize, proc: usize, base: Time) -> Time;
-}
-
-/// The identity [`CompShaper`]: charges exactly the program's own costs.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IdentityShaper;
-
-impl CompShaper for IdentityShaper {
-    fn comp_charge(&mut self, _step_idx: usize, _proc: usize, base: Time) -> Time {
-        base
+    fn simulate_step(&mut self, call: &StepCall<'_>, ends: &mut StepEnds) {
+        let result = call.run(&mut self.scratch);
+        ends.reset(call.ready);
+        ends.absorb(&result);
     }
 }
 
@@ -445,67 +405,59 @@ pub struct SimRun {
 
 /// Simulate a whole program; see [`Prediction`] for what comes back.
 pub fn simulate_program(prog: &Program, opts: &SimOptions) -> Prediction {
-    simulate_program_with(prog, opts, &mut DirectStepSimulator::new())
+    simulate_request(prog, opts, SimRequest::default()).prediction
 }
 
-/// [`simulate_program`] with a caller-supplied communication backend.
-pub fn simulate_program_with(
-    prog: &Program,
-    opts: &SimOptions,
-    step_sim: &mut dyn StepSimulator,
-) -> Prediction {
-    simulate_program_observed(prog, opts, step_sim, &mut NullObserver)
+/// Everything a whole-program run can be given besides the program and
+/// its [`SimOptions`]. The default is the plain run: the direct backend,
+/// no tracing, no faults, no budget.
+#[derive(Default)]
+pub struct SimRequest<'a> {
+    /// Communication backend; `None` runs a fresh [`DirectStepSimulator`].
+    pub backend: Option<&'a mut dyn StepSimulator>,
+    /// Trace sink: per-operation events from the communication algorithms
+    /// plus one [`TraceEvent::Front`] per processor per step. Tracing
+    /// never changes the prediction.
+    pub sink: Option<&'a dyn TraceSink>,
+    /// Fault injection (computation charges and message drops).
+    pub faults: Option<&'a dyn FaultHook>,
+    /// Simulation budget; the run halts early once it is spent.
+    pub budget: SimBudget,
 }
 
-/// [`simulate_program`] with full tracing: per-operation events from the
-/// communication algorithms and per-step [`predsim_obs::TraceEvent::Front`]
-/// markers, all emitted into `sink`. The prediction is bit-identical to the
-/// untraced one.
-pub fn simulate_program_traced(
-    prog: &Program,
-    opts: &SimOptions,
-    sink: &dyn predsim_obs::TraceSink,
-) -> Prediction {
-    simulate_program_observed(
-        prog,
-        opts,
-        &mut TracedStepSimulator::new(sink),
-        &mut FrontEmitter::new(sink),
-    )
+impl<'a> SimRequest<'a> {
+    /// Run the communication steps on `backend`.
+    pub fn with_backend(mut self, backend: &'a mut dyn StepSimulator) -> Self {
+        self.backend = Some(backend);
+        self
+    }
+
+    /// Trace the run into `sink`.
+    pub fn with_sink(mut self, sink: &'a dyn TraceSink) -> Self {
+        self.sink = Some(sink);
+        self
+    }
+
+    /// Inject the faults `hook` decides.
+    pub fn with_faults(mut self, hook: &'a dyn FaultHook) -> Self {
+        self.faults = Some(hook);
+        self
+    }
 }
 
-/// [`simulate_program_with`] plus a [`ProgramObserver`] notified after
-/// every step with the per-processor virtual-time front.
-pub fn simulate_program_observed(
-    prog: &Program,
-    opts: &SimOptions,
-    step_sim: &mut dyn StepSimulator,
-    observer: &mut dyn ProgramObserver,
-) -> Prediction {
-    simulate_program_driven(
-        prog,
-        opts,
-        step_sim,
-        observer,
-        &mut IdentityShaper,
-        SimBudget::unlimited(),
-    )
-    .prediction
-}
-
-/// The master entry point under all the others: the whole-program fold with
-/// every hook exposed — a pluggable communication backend, a per-step
-/// observer, a computation-charge shaper (fault injection) and simulation
-/// budgets (engine job limits). With [`IdentityShaper`] and an unlimited
-/// budget this computes exactly what [`simulate_program`] does.
-pub fn simulate_program_driven(
-    prog: &Program,
-    opts: &SimOptions,
-    step_sim: &mut dyn StepSimulator,
-    observer: &mut dyn ProgramObserver,
-    shaper: &mut dyn CompShaper,
-    budget: SimBudget,
-) -> SimRun {
+/// The whole-program fold with every input exposed: a pluggable
+/// communication backend, a trace sink, a fault hook and a simulation
+/// budget (see [`SimRequest`]). With [`SimRequest::default`] this computes
+/// exactly what [`simulate_program`] does.
+pub fn simulate_request(prog: &Program, opts: &SimOptions, req: SimRequest<'_>) -> SimRun {
+    let SimRequest {
+        backend,
+        sink,
+        faults,
+        budget,
+    } = req;
+    let mut direct = DirectStepSimulator::default();
+    let backend = backend.unwrap_or(&mut direct);
     let procs = prog.procs();
     let mut ready = vec![Time::ZERO; procs];
     let mut per_proc_comp = vec![Time::ZERO; procs];
@@ -519,8 +471,7 @@ pub fn simulate_program_driven(
     // traffic is acceptable, and the scratch-carrying backends remove most
     // of it there too).
     let mut comp_end = vec![Time::ZERO; procs];
-    let mut comm_done = vec![Time::ZERO; procs];
-    let mut last_recv_done = vec![Time::ZERO; procs];
+    let mut ends = StepEnds::default();
 
     for (step_idx, step) in prog.steps().iter().enumerate() {
         if let Some(max) = budget.max_steps {
@@ -532,7 +483,7 @@ pub fn simulate_program_driven(
         let start = ready.iter().copied().min().unwrap_or(Time::ZERO);
 
         // Computation phase. A step without computation charges has base
-        // cost zero on every processor; the shaper may still inflate it
+        // cost zero on every processor; a fault hook may still inflate it
         // (fail-stop outages apply to communication-only steps too).
         for p in 0..procs {
             let base = if step.comp.is_empty() {
@@ -540,7 +491,10 @@ pub fn simulate_program_driven(
             } else {
                 step.comp[p]
             };
-            let charge = shaper.comp_charge(step_idx, p, base);
+            let charge = match faults {
+                Some(hook) => hook.comp_charge(step_idx, p, base, sink),
+                None => base,
+            };
             comp_end[p] = ready[p] + charge;
             per_proc_comp[p] += charge;
         }
@@ -551,27 +505,26 @@ pub fn simulate_program_driven(
             ready.copy_from_slice(&comp_end);
             comp_end_max
         } else {
-            let result = step_sim.simulate_comm_step(step_idx, &step.comm, opts, &comp_end);
-            forced_sends += result.forced_sends;
+            let call = StepCall {
+                index: step_idx,
+                comm: &step.comm,
+                opts,
+                ready: &comp_end,
+                sink,
+                faults,
+            };
+            backend.simulate_step(&call, &mut ends);
+            forced_sends += ends.forced_sends;
 
             // Per-processor end of the communication section.
-            comm_done.copy_from_slice(&comp_end);
-            last_recv_done.copy_from_slice(&comp_end);
-            for ev in result.timeline.events() {
-                comm_done[ev.proc] = comm_done[ev.proc].max(ev.end);
-                if ev.kind == loggp::OpKind::Recv {
-                    last_recv_done[ev.proc] = last_recv_done[ev.proc].max(ev.end);
-                }
-            }
             for p in 0..procs {
-                per_proc_comm[p] += comm_done[p] - comp_end[p];
+                per_proc_comm[p] += ends.comm_done[p] - comp_end[p];
             }
-
             ready.copy_from_slice(match opts.overlap {
-                Overlap::None => &comm_done,
-                Overlap::RecvOnly => &last_recv_done,
+                Overlap::None => &ends.comm_done,
+                Overlap::RecvOnly => &ends.last_recv_done,
             });
-            comm_done.iter().copied().max().unwrap_or(comp_end_max)
+            ends.comm_done.iter().copied().max().unwrap_or(comp_end_max)
         };
 
         if opts.sync == Synchronization::Barrier {
@@ -586,7 +539,17 @@ pub fn simulate_program_driven(
             comm_end: comm_end_max,
             forced_sends,
         });
-        observer.step_done(step_idx, &ready);
+        if let Some(sink) = sink {
+            // The per-processor virtual-time front: each processor's
+            // readiness for the next step (the horizon profile's input).
+            for (proc, t) in ready.iter().enumerate() {
+                sink.emit(&TraceEvent::Front {
+                    step: step_idx as u64,
+                    proc,
+                    ps: t.as_ps(),
+                });
+            }
+        }
 
         if let Some(max) = budget.max_virtual {
             let front = ready.iter().copied().max().unwrap_or(Time::ZERO);
@@ -620,6 +583,31 @@ mod tests {
 
     fn opts(procs: usize) -> SimOptions {
         SimOptions::new(SimConfig::new(presets::meiko_cs2(procs)))
+    }
+
+    fn traced(prog: &Program, opts: &SimOptions, sink: &dyn TraceSink) -> Prediction {
+        simulate_request(prog, opts, SimRequest::default().with_sink(sink)).prediction
+    }
+
+    /// A [`FaultHook`] that only reshapes computation charges.
+    struct Charges<F>(F);
+
+    impl<F: Fn(usize, usize, Time) -> Time> FaultHook for Charges<F> {
+        fn comp_charge(
+            &self,
+            step: usize,
+            proc: usize,
+            base: Time,
+            _sink: Option<&dyn TraceSink>,
+        ) -> Time {
+            (self.0)(step, proc, base)
+        }
+        fn attempts(&self, _step: usize, _msg: &Message) -> u32 {
+            1
+        }
+        fn rto(&self, _attempt: u32) -> Time {
+            Time::ZERO
+        }
     }
 
     fn one_msg(procs: usize, src: usize, dst: usize, bytes: usize) -> CommPattern {
@@ -763,7 +751,7 @@ mod tests {
         for opts in [opts(3), opts(3).worst_case(), opts(3).with_barrier()] {
             let plain = simulate_program(&prog, &opts);
             let sink = MemorySink::new();
-            let traced = simulate_program_traced(&prog, &opts, &sink);
+            let traced = traced(&prog, &opts, &sink);
             assert_eq!(plain.total, traced.total);
             assert_eq!(plain.per_proc_finish, traced.per_proc_finish);
             assert_eq!(plain.per_proc_comm, traced.per_proc_comm);
@@ -795,7 +783,7 @@ mod tests {
         let mut prog = Program::new(2);
         prog.push(Step::new("skew").with_comp(vec![Time::from_us(100.0), Time::from_us(1.0)]));
         let sink = MemorySink::new();
-        let _ = simulate_program_traced(&prog, &opts(2), &sink);
+        let _ = traced(&prog, &opts(2), &sink);
         let fronts: Vec<u64> = sink
             .events()
             .iter()
@@ -811,29 +799,39 @@ mod tests {
     }
 
     #[test]
-    fn default_step_method_delegates() {
-        // A backend only implementing simulate_comm still works through
-        // the step-indexed entry point.
-        struct Only;
-        impl StepSimulator for Only {
-            fn simulate_comm(
-                &mut self,
-                comm: &commsim::CommPattern,
-                opts: &SimOptions,
-                ready: &[Time],
-            ) -> SimResult {
-                DirectStepSimulator::new().simulate_comm(comm, opts, ready)
+    fn custom_backend_sees_step_indices_and_matches_direct() {
+        // A backend wrapping the direct one is driven through the same
+        // fold, receives every communication step's program index, and
+        // reproduces the plain prediction.
+        struct Indexed {
+            inner: DirectStepSimulator,
+            seen: Vec<usize>,
+        }
+        impl StepSimulator for Indexed {
+            fn simulate_step(&mut self, call: &StepCall<'_>, ends: &mut StepEnds) {
+                self.seen.push(call.index);
+                self.inner.simulate_step(call, ends);
             }
         }
         let mut prog = Program::new(2);
+        prog.push(Step::new("c").with_comp(vec![Time::from_us(3.0); 2]));
         prog.push(Step::new("s").with_comm(one_msg(2, 0, 1, 100)));
+        let mut backend = Indexed {
+            inner: DirectStepSimulator::new(),
+            seen: Vec::new(),
+        };
         let a = simulate_program(&prog, &opts(2));
-        let b = simulate_program_with(&prog, &opts(2), &mut Only);
-        assert_eq!(a.total, b.total);
+        let b = simulate_request(
+            &prog,
+            &opts(2),
+            SimRequest::default().with_backend(&mut backend),
+        );
+        assert_eq!(a, b.prediction);
+        assert_eq!(backend.seen, vec![1]);
     }
 
     #[test]
-    fn driven_with_identity_and_unlimited_budget_matches_simulate() {
+    fn default_request_with_unlimited_budget_matches_simulate() {
         let mut prog = Program::new(3);
         prog.push(Step::new("warm").with_comp(vec![Time::from_us(7.0); 3]));
         let mut c = CommPattern::new(3);
@@ -842,14 +840,12 @@ mod tests {
         prog.push(Step::new("chain").with_comm(c));
         for o in [opts(3), opts(3).worst_case()] {
             let plain = simulate_program(&prog, &o);
-            let run = simulate_program_driven(
-                &prog,
-                &o,
-                &mut DirectStepSimulator::new(),
-                &mut NullObserver,
-                &mut IdentityShaper,
-                SimBudget::unlimited(),
-            );
+            let mut direct = DirectStepSimulator::new();
+            let req = SimRequest {
+                budget: SimBudget::unlimited(),
+                ..SimRequest::default().with_backend(&mut direct)
+            };
+            let run = simulate_request(&prog, &o, req);
             assert!(run.halt.is_complete());
             assert_eq!(run.prediction.total, plain.total);
             assert_eq!(run.prediction.per_proc_finish, plain.per_proc_finish);
@@ -864,13 +860,13 @@ mod tests {
         for i in 0..5 {
             prog.push(Step::new(format!("s{i}")).with_comp(vec![Time::from_us(10.0); 2]));
         }
-        let run = simulate_program_driven(
+        let run = simulate_request(
             &prog,
             &opts(2),
-            &mut DirectStepSimulator::new(),
-            &mut NullObserver,
-            &mut IdentityShaper,
-            SimBudget::steps(2),
+            SimRequest {
+                budget: SimBudget::steps(2),
+                ..SimRequest::default()
+            },
         );
         assert_eq!(run.halt, SimHalt::StepBudget { at_step: 2 });
         assert_eq!(run.prediction.steps.len(), 2);
@@ -883,13 +879,13 @@ mod tests {
         for i in 0..5 {
             prog.push(Step::new(format!("s{i}")).with_comp(vec![Time::from_us(10.0); 2]));
         }
-        let run = simulate_program_driven(
+        let run = simulate_request(
             &prog,
             &opts(2),
-            &mut DirectStepSimulator::new(),
-            &mut NullObserver,
-            &mut IdentityShaper,
-            SimBudget::virtual_time(Time::from_us(25.0)),
+            SimRequest {
+                budget: SimBudget::virtual_time(Time::from_us(25.0)),
+                ..SimRequest::default()
+            },
         );
         // Step 2 pushes the front to 30us > 25us; steps 3 and 4 never run.
         assert_eq!(run.halt, SimHalt::VirtualBudget { at_step: 2 });
@@ -898,26 +894,15 @@ mod tests {
     }
 
     #[test]
-    fn comp_shaper_inflates_charges_and_the_ledger() {
-        struct DoubleP1;
-        impl CompShaper for DoubleP1 {
-            fn comp_charge(&mut self, _step: usize, proc: usize, base: Time) -> Time {
-                if proc == 1 {
-                    base + base
-                } else {
-                    base
-                }
-            }
-        }
+    fn fault_hook_inflates_charges_and_the_ledger() {
+        let double_p1 =
+            Charges(|_step, proc, base: Time| if proc == 1 { base + base } else { base });
         let mut prog = Program::new(2);
         prog.push(Step::new("c").with_comp(vec![Time::from_us(10.0); 2]));
-        let run = simulate_program_driven(
+        let run = simulate_request(
             &prog,
             &opts(2),
-            &mut DirectStepSimulator::new(),
-            &mut NullObserver,
-            &mut DoubleP1,
-            SimBudget::unlimited(),
+            SimRequest::default().with_faults(&double_p1),
         );
         assert_eq!(run.prediction.per_proc_comp[0], Time::from_us(10.0));
         assert_eq!(run.prediction.per_proc_comp[1], Time::from_us(20.0));
@@ -925,29 +910,23 @@ mod tests {
     }
 
     #[test]
-    fn shaper_applies_to_communication_only_steps() {
-        // Fail-stop semantics: an outage charged by the shaper on a step
+    fn fault_hook_charges_apply_to_communication_only_steps() {
+        // Fail-stop semantics: an outage charged by the hook on a step
         // with no computation still delays the processor's participation.
-        struct Outage;
-        impl CompShaper for Outage {
-            fn comp_charge(&mut self, step: usize, proc: usize, base: Time) -> Time {
-                if step == 0 && proc == 0 {
-                    base + Time::from_us(100.0)
-                } else {
-                    base
-                }
+        let outage = Charges(|step, proc, base| {
+            if step == 0 && proc == 0 {
+                base + Time::from_us(100.0)
+            } else {
+                base
             }
-        }
+        });
         let mut prog = Program::new(2);
         prog.push(Step::new("send").with_comm(one_msg(2, 0, 1, 1)));
         let cfg = SimConfig::new(presets::meiko_cs2(2));
-        let run = simulate_program_driven(
+        let run = simulate_request(
             &prog,
             &SimOptions::new(cfg),
-            &mut DirectStepSimulator::new(),
-            &mut NullObserver,
-            &mut Outage,
-            SimBudget::unlimited(),
+            SimRequest::default().with_faults(&outage),
         );
         // P0's send starts only after the outage; the message is received
         // after it, i.e. queued receives drain once the sender restarts.

@@ -7,19 +7,18 @@
 //! (see [`crate::fingerprint`]), a cached normalized schedule shifted by
 //! the step's base time is bit-identical to simulating the step directly.
 //!
-//! Shards are independent `parking_lot`-style `RwLock` maps selected by
-//! the key's digest, so concurrent workers rarely contend; hit/miss/
-//! insert/eviction counters are lock-free atomics.
+//! Shards are independent `RwLock` maps selected by the key's digest, so
+//! concurrent workers rarely contend; hit/miss/insert/eviction counters
+//! are lock-free atomics.
 
 use crate::fingerprint::StepKey;
-use commsim::{CommPattern, SimResult, Timeline};
+use commsim::{SimResult, SimScratch, StepEnds, Timeline};
 use loggp::Time;
-use parking_lot::RwLock;
-use predsim_core::{DirectStepSimulator, SimOptions, StepSimulator};
+use predsim_core::{StepCall, StepSimulator};
 use predsim_obs::{TraceEvent, TraceSink};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A normalized (base-time-zero) step schedule.
 #[derive(Clone, Debug)]
@@ -90,9 +89,23 @@ struct Counters {
     evictions: AtomicU64,
 }
 
+type Shard = RwLock<HashMap<StepKey, CachedStep>>;
+
+/// Read-lock a shard. A panic while a lock was held cannot leave a shard
+/// half-written (every critical section is a single map operation), so a
+/// poisoned lock is recovered rather than propagated.
+fn read(shard: &Shard) -> RwLockReadGuard<'_, HashMap<StepKey, CachedStep>> {
+    shard.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Write-lock a shard, recovering from poisoning like [`read`].
+fn write(shard: &Shard) -> RwLockWriteGuard<'_, HashMap<StepKey, CachedStep>> {
+    shard.write().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Sharded fingerprint → normalized-schedule map.
 pub struct MemoCache {
-    shards: Vec<RwLock<HashMap<StepKey, CachedStep>>>,
+    shards: Vec<Shard>,
     shard_capacity: usize,
     counters: Counters,
 }
@@ -116,7 +129,7 @@ impl MemoCache {
         }
     }
 
-    fn shard(&self, key: &StepKey) -> &RwLock<HashMap<StepKey, CachedStep>> {
+    fn shard(&self, key: &StepKey) -> &Shard {
         // The digest already mixes every word; fold high bits in so shard
         // choice is not just the digest's low bits.
         let d = key.digest();
@@ -125,7 +138,7 @@ impl MemoCache {
 
     /// Look up a normalized schedule and materialize it at `base`.
     pub fn get(&self, key: &StepKey, base: Time) -> Option<SimResult> {
-        let found = self.shard(key).read().get(key).cloned();
+        let found = read(self.shard(key)).get(key).cloned();
         match found {
             Some(step) => {
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
@@ -141,7 +154,7 @@ impl MemoCache {
     /// Store the *normalized* result of simulating `key` (the schedule as
     /// computed with base time zero).
     pub fn insert(&self, key: StepKey, normalized: &SimResult) {
-        let mut shard = self.shard(&key).write();
+        let mut shard = write(self.shard(&key));
         if shard.len() >= self.shard_capacity && !shard.contains_key(&key) {
             // Epoch eviction: drop the whole shard. Deterministic, O(1)
             // amortized, and a sweep's working set either fits (no
@@ -171,7 +184,7 @@ impl MemoCache {
 
     /// Number of entries currently cached, across shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards.iter().map(|s| read(s).len()).sum()
     }
 
     /// True iff nothing is cached.
@@ -188,16 +201,20 @@ impl MemoCache {
 /// back. Translation invariance of the LogGP algorithms makes the shifted
 /// schedule bit-identical to simulating at the absolute times directly.
 ///
+/// Traced and fault-injected steps ([`StepCall::is_plain`] false) bypass
+/// the cache and are simulated directly: fault decisions are keyed by the
+/// absolute step index, which the relative fingerprints cannot represent,
+/// and a traced step must emit the events of its own operations.
+///
 /// Constructed with [`MemoStepSimulator::traced`], every lookup also emits
 /// a [`TraceEvent::MemoHit`]/[`TraceEvent::MemoMiss`] event — purely
 /// observational, the returned schedules are unaffected.
 pub struct MemoStepSimulator<'a> {
     cache: &'a MemoCache,
     trace: Option<(&'a dyn TraceSink, u64)>,
-    /// Miss-path backend; owning it (rather than constructing one per
-    /// miss) keeps one `SimScratch` alive across the whole job, so cache
-    /// misses reuse the same arenas the direct simulator would.
-    direct: DirectStepSimulator,
+    /// Miss-path scratch, kept alive across the whole job so cache misses
+    /// reuse the same arenas the direct simulator would.
+    scratch: SimScratch,
 }
 
 impl<'a> MemoStepSimulator<'a> {
@@ -206,7 +223,7 @@ impl<'a> MemoStepSimulator<'a> {
         MemoStepSimulator {
             cache,
             trace: None,
-            direct: DirectStepSimulator::new(),
+            scratch: SimScratch::new(),
         }
     }
 
@@ -217,20 +234,15 @@ impl<'a> MemoStepSimulator<'a> {
         MemoStepSimulator {
             cache,
             trace: Some((sink, job)),
-            direct: DirectStepSimulator::new(),
+            scratch: SimScratch::new(),
         }
     }
 
-    fn lookup(
-        &mut self,
-        step: u64,
-        comm: &CommPattern,
-        opts: &SimOptions,
-        ready: &[Time],
-    ) -> SimResult {
-        let base = ready.iter().copied().min().unwrap_or(Time::ZERO);
-        let rel: Vec<Time> = ready.iter().map(|&t| t - base).collect();
-        let key = StepKey::new(comm, opts, &rel);
+    fn lookup(&mut self, call: &StepCall<'_>) -> SimResult {
+        let step = call.index as u64;
+        let base = call.ready.iter().copied().min().unwrap_or(Time::ZERO);
+        let rel: Vec<Time> = call.ready.iter().map(|&t| t - base).collect();
+        let key = StepKey::new(call.comm, call.opts, &rel);
         if let Some(hit) = self.cache.get(&key, base) {
             if let Some((sink, job)) = self.trace {
                 sink.emit(&TraceEvent::MemoHit { job, step });
@@ -240,7 +252,11 @@ impl<'a> MemoStepSimulator<'a> {
         if let Some((sink, job)) = self.trace {
             sink.emit(&TraceEvent::MemoMiss { job, step });
         }
-        let normalized = self.direct.simulate_comm(comm, opts, &rel);
+        let normalized = StepCall {
+            ready: &rel,
+            ..*call
+        }
+        .run(&mut self.scratch);
         let shifted = CachedStep::from_result(&normalized).materialize(base);
         self.cache.insert(key, &normalized);
         shifted
@@ -248,33 +264,50 @@ impl<'a> MemoStepSimulator<'a> {
 }
 
 impl StepSimulator for MemoStepSimulator<'_> {
-    fn simulate_comm(
-        &mut self,
-        comm: &CommPattern,
-        opts: &SimOptions,
-        ready: &[Time],
-    ) -> SimResult {
-        // No step index available on this entry point.
-        self.lookup(u64::MAX, comm, opts, ready)
-    }
-
-    fn simulate_comm_step(
-        &mut self,
-        step_idx: usize,
-        comm: &CommPattern,
-        opts: &SimOptions,
-        ready: &[Time],
-    ) -> SimResult {
-        self.lookup(step_idx as u64, comm, opts, ready)
+    fn simulate_step(&mut self, call: &StepCall<'_>, ends: &mut StepEnds) {
+        let result = if call.is_plain() {
+            self.lookup(call)
+        } else {
+            call.run(&mut self.scratch)
+        };
+        ends.reset(call.ready);
+        ends.absorb(&result);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use commsim::{standard, SimConfig};
+    use commsim::{standard, CommAlgo, CommPattern, SimConfig, StepRequest};
     use loggp::presets;
-    use predsim_core::SimOptions;
+    use predsim_core::{DirectStepSimulator, SimOptions};
+
+    /// Run one plain step through `backend`, the way the fold does.
+    fn step_ends(
+        backend: &mut dyn StepSimulator,
+        index: usize,
+        comm: &CommPattern,
+        opts: &SimOptions,
+        ready: &[Time],
+    ) -> StepEnds {
+        let call = StepCall {
+            index,
+            comm,
+            opts,
+            ready,
+            sink: None,
+            faults: None,
+        };
+        let mut ends = StepEnds::default();
+        backend.simulate_step(&call, &mut ends);
+        ends
+    }
+
+    fn assert_same_ends(got: &StepEnds, want: &StepEnds) {
+        assert_eq!(got.comm_done, want.comm_done);
+        assert_eq!(got.last_recv_done, want.last_recv_done);
+        assert_eq!(got.forced_sends, want.forced_sends);
+    }
 
     fn pattern() -> CommPattern {
         let mut c = CommPattern::new(2);
@@ -291,7 +324,10 @@ mod tests {
         let key = StepKey::new(&p, &opts, &rel);
 
         assert!(cache.get(&key, Time::ZERO).is_none());
-        let normalized = standard::simulate_from(&p, &opts.cfg, &rel);
+        let normalized = CommAlgo::Standard.simulate(
+            StepRequest::new(&p, &opts.cfg, &rel),
+            &mut SimScratch::new(),
+        );
         cache.insert(key.clone(), &normalized);
 
         let base = Time::from_us(100.0);
@@ -343,16 +379,32 @@ mod tests {
             // first call misses, the rest hit — all must equal direct.
             for base_us in [0.0, 55.0, 1234.5] {
                 let ready = vec![Time::from_us(base_us), Time::from_us(base_us + 7.0)];
-                let want = direct.simulate_comm(&p, &opts, &ready);
-                let got = memo.simulate_comm(&p, &opts, &ready);
-                assert_eq!(got.finish, want.finish);
-                assert_eq!(got.forced_sends, want.forced_sends);
-                assert_eq!(got.timeline.events(), want.timeline.events());
+                let want = step_ends(&mut direct, 0, &p, &opts, &ready);
+                let got = step_ends(&mut memo, 0, &p, &opts, &ready);
+                assert_same_ends(&got, &want);
+                // The materialized schedule itself is event-for-event the
+                // direct one.
+                let base = Time::from_us(base_us);
+                let rel = vec![Time::ZERO, Time::from_us(7.0)];
+                let cached = cache
+                    .get(&StepKey::new(&p, &opts, &rel), base)
+                    .expect("cached after the first call");
+                let fresh = opts.algo.simulate(
+                    StepRequest::new(&p, &opts.cfg, &ready),
+                    &mut SimScratch::new(),
+                );
+                assert_eq!(cached.finish, fresh.finish);
+                assert_eq!(cached.forced_sends, fresh.forced_sends);
+                assert_eq!(cached.timeline.events(), fresh.timeline.events());
             }
         }
         let stats = cache.stats();
         assert_eq!(stats.misses, 2, "one miss per algorithm");
-        assert_eq!(stats.hits, 4);
+        assert_eq!(
+            stats.hits,
+            4 + 6,
+            "three steps and three checks per algorithm"
+        );
     }
 
     #[test]
@@ -362,13 +414,13 @@ mod tests {
         let p = pattern();
         let opts = SimOptions::new(SimConfig::new(presets::meiko_cs2(2)));
         let ready = vec![Time::ZERO, Time::from_us(1.0)];
-        let want = DirectStepSimulator::new().simulate_comm(&p, &opts, &ready);
+        let want = step_ends(&mut DirectStepSimulator::new(), 4, &p, &opts, &ready);
 
         let mut memo = MemoStepSimulator::traced(&cache, &sink, 9);
-        let miss = memo.simulate_comm_step(4, &p, &opts, &ready);
-        let hit = memo.simulate_comm_step(4, &p, &opts, &ready);
-        assert_eq!(miss.timeline.events(), want.timeline.events());
-        assert_eq!(hit.timeline.events(), want.timeline.events());
+        let miss = step_ends(&mut memo, 4, &p, &opts, &ready);
+        let hit = step_ends(&mut memo, 4, &p, &opts, &ready);
+        assert_same_ends(&miss, &want);
+        assert_same_ends(&hit, &want);
         assert_eq!(
             sink.events(),
             vec![
@@ -376,12 +428,53 @@ mod tests {
                 TraceEvent::MemoHit { job: 9, step: 4 },
             ]
         );
+    }
 
-        // The index-less entry point stamps the unknown-step sentinel.
-        memo.simulate_comm(&p, &opts, &ready);
-        assert!(matches!(
-            sink.events().last(),
-            Some(TraceEvent::MemoHit { step: u64::MAX, .. })
-        ));
+    #[test]
+    fn traced_and_faulted_steps_bypass_the_cache() {
+        struct NoFaults;
+        impl predsim_core::FaultHook for NoFaults {
+            fn comp_charge(
+                &self,
+                _step: usize,
+                _proc: usize,
+                base: Time,
+                _sink: Option<&dyn TraceSink>,
+            ) -> Time {
+                base
+            }
+            fn attempts(&self, _step: usize, _msg: &commsim::Message) -> u32 {
+                1
+            }
+            fn rto(&self, _attempt: u32) -> Time {
+                Time::ZERO
+            }
+        }
+        let cache = MemoCache::new(2, 64);
+        let mut memo = MemoStepSimulator::new(&cache);
+        let p = pattern();
+        let opts = SimOptions::new(SimConfig::new(presets::meiko_cs2(2)));
+        let ready = vec![Time::ZERO, Time::from_us(1.0)];
+        let want = step_ends(&mut DirectStepSimulator::new(), 0, &p, &opts, &ready);
+        let sink = predsim_obs::MemorySink::new();
+        let calls = [
+            (Some(&sink as &dyn TraceSink), None),
+            (None, Some(&NoFaults as _)),
+        ];
+        for (sink, faults) in calls {
+            let call = StepCall {
+                index: 0,
+                comm: &p,
+                opts: &opts,
+                ready: &ready,
+                sink,
+                faults,
+            };
+            let mut ends = StepEnds::default();
+            memo.simulate_step(&call, &mut ends);
+            assert_same_ends(&ends, &want);
+        }
+        assert!(!sink.is_empty(), "the traced step reached the tracer");
+        assert_eq!(cache.stats(), CacheStats::default());
     }
 }

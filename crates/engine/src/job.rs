@@ -127,7 +127,7 @@ pub enum JobSource {
         hypercube: bool,
     },
     /// A task DAG scheduled onto a machine and lowered to a step
-    /// program ([`predsim_dag::lower`]). The machine spec is carried in
+    /// program ([`predsim_dag::lower()`]). The machine spec is carried in
     /// the variant because scheduling and computation scaling need it
     /// at build time, independent of the simulation options.
     Dag {

@@ -73,8 +73,8 @@ pub use journal::{Journal, JournalEntry};
 
 use crossbeam::channel;
 use predsim_core::{
-    simulate_program_driven, CommAlgo, DirectStepSimulator, IdentityShaper, NullObserver,
-    Prediction, SimBudget, SimRun,
+    simulate_request, CommAlgo, DirectStepSimulator, FaultHook, Prediction, SimBudget, SimRequest,
+    SimRun, StepSimulator,
 };
 use predsim_lint::{check_program, Code, Diagnostic, LintOptions, Report, Severity, Span};
 use predsim_obs::{
@@ -149,7 +149,8 @@ pub fn static_bounds(spec: &JobSpec) -> Option<predsim_lint::ProgramBounds> {
 /// Simulate one job once while recording every step, returning the
 /// prediction, the recording, and the built program.
 ///
-/// The recording replays bit-identically under *any* [`SimOptions`]
+/// The recording replays bit-identically under *any*
+/// [`SimOptions`](predsim_core::SimOptions)
 /// (`ProgramRecording::predict` verifies each step and transparently
 /// resimulates on any mismatch), so the caller may cache it keyed by the
 /// program alone and serve later requests with different machines or
@@ -496,45 +497,36 @@ impl Engine {
     }
 
     /// The one true per-job simulation path, stamped with a batch job
-    /// index for the trace. Faulted jobs bypass the memo cache — fault
-    /// decisions are keyed by absolute step index, which the cache's
-    /// relative fingerprints cannot represent.
+    /// index for the trace. Faulted jobs are traced step by step and
+    /// bypass the memo cache (see [`MemoStepSimulator`]: fault decisions
+    /// are keyed by absolute step index, which the cache's relative
+    /// fingerprints cannot represent); fault-free jobs report only their
+    /// memo lookups.
     fn run_one_bounded(&self, job: u64, spec: &JobSpec) -> SimRun {
         let program = {
             let _t = ScopedTimer::counter(&self.obs.metrics.phase_build_ns);
             spec.source.build()
         };
         let _t = ScopedTimer::counter(&self.obs.metrics.phase_simulate_ns);
-        let budget = self.config.budget;
-        if let Some(plan) = &spec.faults {
-            let sink = self.obs.sink.as_deref();
-            return predsim_faults::simulate_faulted_bounded(
-                &program, &spec.opts, plan, sink, budget,
-            );
-        }
-        if self.config.memo {
-            let mut memo = match &self.obs.sink {
+        let faults = spec.faults.as_ref().map(|plan| plan as &dyn FaultHook);
+        let mut direct = DirectStepSimulator::new();
+        let mut memo;
+        let backend: &mut dyn StepSimulator = if self.config.memo {
+            memo = match &self.obs.sink {
                 Some(sink) => MemoStepSimulator::traced(&self.cache, sink.as_ref(), job),
                 None => MemoStepSimulator::new(&self.cache),
             };
-            simulate_program_driven(
-                &program,
-                &spec.opts,
-                &mut memo,
-                &mut NullObserver,
-                &mut IdentityShaper,
-                budget,
-            )
+            &mut memo
         } else {
-            simulate_program_driven(
-                &program,
-                &spec.opts,
-                &mut DirectStepSimulator::new(),
-                &mut NullObserver,
-                &mut IdentityShaper,
-                budget,
-            )
-        }
+            &mut direct
+        };
+        let req = SimRequest {
+            backend: Some(backend),
+            sink: faults.and(self.obs.sink.as_deref()),
+            faults,
+            budget: self.config.budget,
+        };
+        simulate_request(&program, &spec.opts, req)
     }
 
     /// Execute a batch; results come back in submission order and are
@@ -1261,9 +1253,12 @@ mod tests {
             "faulted jobs must not touch the memo cache"
         );
         // And the engine path agrees with the library entry point.
-        let direct =
-            predsim_faults::simulate_faulted(&jobs[0].source.build(), &jobs[0].opts, &plan, None);
-        assert_eq!(*a[0].prediction(), direct);
+        let direct = simulate_request(
+            &jobs[0].source.build(),
+            &jobs[0].opts,
+            SimRequest::default().with_faults(&plan),
+        );
+        assert_eq!(*a[0].prediction(), direct.prediction);
     }
 
     #[test]

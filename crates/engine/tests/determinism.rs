@@ -2,13 +2,15 @@
 //!
 //! Whatever the worker count and whether the memo cache is on, a batch's
 //! results must be bit-identical — same predicted times, same per-step
-//! records, same simulated event counts — to evaluating the same specs
+//! records, same per-processor step completions — to evaluating the same specs
 //! sequentially with the direct simulator (which is what
 //! `predsim_core::search::sweep` does).
 
+use commsim::StepEnds;
 use loggp::{presets, LogGpParams, Time};
 use predsim_core::{
-    search, simulate_program_with, DirectStepSimulator, Prediction, SimOptions, StepSimulator,
+    search, simulate_request, DirectStepSimulator, Prediction, SimOptions, SimRequest, StepCall,
+    StepSimulator,
 };
 use predsim_engine::{
     best_by_total, Engine, EngineConfig, EngineObs, JobSource, JobSpec, LayoutSpec, MemoCache,
@@ -98,11 +100,13 @@ fn assert_predictions_identical(a: &Prediction, b: &Prediction, label: &str) {
     }
 }
 
-/// A [`StepSimulator`] wrapper that also counts committed events — the
-/// "event counts" half of the bit-identical claim.
+/// A [`StepSimulator`] wrapper that also records what every step
+/// committed — each processor's last operation and last receive, and the
+/// forced sends — the "same schedule per step" half of the bit-identical
+/// claim.
 struct Counting<S> {
     inner: S,
-    events: usize,
+    steps: Vec<StepEnds>,
     finishes: Vec<Time>,
 }
 
@@ -110,24 +114,37 @@ impl<S> Counting<S> {
     fn new(inner: S) -> Self {
         Counting {
             inner,
-            events: 0,
+            steps: Vec::new(),
             finishes: Vec::new(),
         }
     }
 }
 
 impl<S: StepSimulator> StepSimulator for Counting<S> {
-    fn simulate_comm(
-        &mut self,
-        comm: &commsim::CommPattern,
-        opts: &SimOptions,
-        ready: &[Time],
-    ) -> commsim::SimResult {
-        let r = self.inner.simulate_comm(comm, opts, ready);
-        self.events += r.timeline.len();
-        self.finishes.push(r.finish);
-        r
+    fn simulate_step(&mut self, call: &StepCall<'_>, ends: &mut StepEnds) {
+        self.inner.simulate_step(call, ends);
+        self.finishes
+            .push(ends.comm_done.iter().copied().max().unwrap_or(Time::ZERO));
+        self.steps.push(ends.clone());
     }
+}
+
+/// [`predsim_core::simulate_program`] on a caller-supplied backend.
+fn simulate_on(
+    program: &predsim_core::Program,
+    opts: &SimOptions,
+    backend: &mut dyn StepSimulator,
+) -> Prediction {
+    simulate_request(program, opts, SimRequest::default().with_backend(backend)).prediction
+}
+
+fn same_steps(a: &[StepEnds], b: &[StepEnds]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.comm_done == y.comm_done
+                && x.last_recv_done == y.last_recv_done
+                && x.forced_sends == y.forced_sends
+        })
 }
 
 proptest! {
@@ -174,11 +191,12 @@ proptest! {
         prop_assert_eq!(sweep.best_time, baseline[engine_best].prediction().total);
     }
 
-    /// The memoizing step simulator commits the same events (same count,
-    /// same per-step finish times) as the direct one, even when many
-    /// lookups hit the cache.
+    /// The memoizing step simulator commits the same schedule ends (every
+    /// processor's completion and last receive, forced sends, per-step
+    /// finish times) as the direct one, even when many lookups hit the
+    /// cache.
     #[test]
-    fn memo_preserves_event_counts(
+    fn memo_preserves_step_ends(
         (kind, param, mach, worst) in (0usize..3, 0usize..64, 0usize..5, proptest::bool::ANY)
     ) {
         let source = source_for(kind, param);
@@ -189,22 +207,22 @@ proptest! {
         let program = source.build();
 
         let mut direct = Counting::new(DirectStepSimulator::new());
-        let direct_pred = simulate_program_with(&program, &opts, &mut direct);
+        let direct_pred = simulate_on(&program, &opts, &mut direct);
 
         let cache = MemoCache::new(4, 1024);
         let mut memo = Counting::new(MemoStepSimulator::new(&cache));
-        let memo_pred = simulate_program_with(&program, &opts, &mut memo);
+        let memo_pred = simulate_on(&program, &opts, &mut memo);
 
         assert_predictions_identical(&direct_pred, &memo_pred, "memo vs direct");
-        prop_assert_eq!(direct.events, memo.events, "committed event counts differ");
+        prop_assert!(same_steps(&direct.steps, &memo.steps), "per-step schedule ends differ");
         prop_assert_eq!(direct.finishes, memo.finishes, "per-step finish times differ");
 
         // Re-running the same program is answered largely from the cache
         // and still identical.
         let mut warm = Counting::new(MemoStepSimulator::new(&cache));
-        let warm_pred = simulate_program_with(&program, &opts, &mut warm);
+        let warm_pred = simulate_on(&program, &opts, &mut warm);
         assert_predictions_identical(&direct_pred, &warm_pred, "warm memo vs direct");
-        prop_assert_eq!(direct.events, warm.events);
+        prop_assert!(same_steps(&direct.steps, &warm.steps));
         let stats = cache.stats();
         prop_assert!(stats.hits >= stats.misses, "second run must hit: {:?}", stats);
     }

@@ -24,8 +24,8 @@
 //! fault injection; `tests/props.rs` enforces it by proptest.
 //!
 //! ```
-//! use predsim_faults::{FaultPlan, FaultSpec, simulate_faulted};
-//! use predsim_core::{Program, Step, SimOptions};
+//! use predsim_faults::{FaultPlan, FaultSpec};
+//! use predsim_core::{simulate_request, Program, SimOptions, SimRequest, Step};
 //! use commsim::{CommPattern, SimConfig};
 //! use loggp::{presets, Time};
 //!
@@ -37,8 +37,9 @@
 //!
 //! let clean = predsim_core::simulate_program(&prog, &opts);
 //! let spec = FaultSpec::parse("drop:0.5").unwrap();
-//! let faulty = simulate_faulted(&prog, &opts, &FaultPlan::new(spec, 7), None);
-//! assert!(faulty.total >= clean.total);
+//! let plan = FaultPlan::new(spec, 7);
+//! let faulty = simulate_request(&prog, &opts, SimRequest::default().with_faults(&plan));
+//! assert!(faulty.prediction.total >= clean.total);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -51,7 +52,5 @@ mod spec;
 
 pub use chaos::{ChaosPlan, ChaosSpec};
 pub use plan::FaultPlan;
-pub use sim::{
-    simulate_faulted, simulate_faulted_bounded, FaultShaper, FaultedStepSimulator, StepFaultView,
-};
+pub use predsim_core::StepFaultView;
 pub use spec::{FailEvent, FaultSpec};

@@ -1,136 +1,37 @@
 //! Wiring a [`FaultPlan`] into the whole-program simulation.
 //!
-//! Three adapters plug the plan into the hooks the lower layers expose:
-//!
-//! * [`StepFaultView`] — a per-step [`commsim::StepFaults`] view answering
-//!   the drop/retransmission queries of the communication algorithms;
-//! * [`FaultedStepSimulator`] — a [`predsim_core::StepSimulator`] routing
-//!   each step through `standard::simulate_faulted` or
-//!   `worstcase::simulate_faulted` with the view (and a tracer) attached;
-//! * [`FaultShaper`] — a [`predsim_core::CompShaper`] applying transient
-//!   slowdowns and fail-stop outages to the computation charges.
-//!
-//! [`simulate_faulted`] and [`simulate_faulted_bounded`] assemble the
-//! three into the standard entry points.
+//! A [`FaultPlan`] is a [`FaultHook`]: the whole-program fold asks it for
+//! every computation charge (transient slowdowns and fail-stop outages),
+//! and the communication algorithms ask it — through a
+//! [`StepFaultView`](predsim_core::StepFaultView) — how often each message
+//! is dropped. A faulted run is therefore an ordinary
+//! [`predsim_core::simulate_request`] with
+//! [`SimRequest::with_faults`](predsim_core::SimRequest::with_faults).
 
 use crate::plan::FaultPlan;
-use commsim::{standard, worstcase, Message, SimResult, StepFaults, StepTracer};
+use commsim::Message;
 use loggp::Time;
-use predsim_core::{
-    simulate_program_driven, CommAlgo, CompShaper, FrontEmitter, NullObserver, Prediction, Program,
-    SimBudget, SimOptions, SimRun, StepSimulator,
-};
+use predsim_core::FaultHook;
 use predsim_obs::{TraceEvent, TraceSink};
 
-/// A [`FaultPlan`] narrowed to one program step: what the communication
-/// algorithms consult for per-message drop decisions.
-#[derive(Clone, Copy, Debug)]
-pub struct StepFaultView<'a> {
-    plan: &'a FaultPlan,
-    step: u64,
-}
-
-impl<'a> StepFaultView<'a> {
-    /// The view of `plan` at program step `step`.
-    pub fn new(plan: &'a FaultPlan, step: u64) -> Self {
-        StepFaultView { plan, step }
-    }
-}
-
-impl StepFaults for StepFaultView<'_> {
-    fn attempts(&self, msg: &Message) -> u32 {
-        self.plan.attempts(self.step, msg.id as u64)
-    }
-
-    fn rto(&self, attempt: u32) -> Time {
-        self.plan.rto(attempt)
-    }
-}
-
-/// A [`StepSimulator`] running the direct [`commsim`] algorithms with a
-/// [`FaultPlan`] (and optionally a trace sink) attached. With a zero plan
-/// it produces exactly [`predsim_core::DirectStepSimulator`]'s results.
-pub struct FaultedStepSimulator<'a> {
-    plan: &'a FaultPlan,
-    sink: Option<&'a dyn TraceSink>,
-}
-
-impl<'a> FaultedStepSimulator<'a> {
-    /// A backend injecting `plan`, tracing into `sink` when given.
-    pub fn new(plan: &'a FaultPlan, sink: Option<&'a dyn TraceSink>) -> Self {
-        FaultedStepSimulator { plan, sink }
-    }
-}
-
-impl StepSimulator for FaultedStepSimulator<'_> {
-    fn simulate_comm(
-        &mut self,
-        comm: &commsim::CommPattern,
-        opts: &SimOptions,
-        ready: &[Time],
-    ) -> SimResult {
-        self.simulate_comm_step(0, comm, opts, ready)
-    }
-
-    fn simulate_comm_step(
-        &mut self,
-        step_idx: usize,
-        comm: &commsim::CommPattern,
-        opts: &SimOptions,
-        ready: &[Time],
-    ) -> SimResult {
-        let view = StepFaultView::new(self.plan, step_idx as u64);
-        let faults: Option<&dyn StepFaults> = Some(&view);
-        let tracer = self.sink.map(|s| StepTracer::new(s, step_idx as u64));
-        let params = opts.cfg.params;
-        let mut arrival = |m: &Message, start: Time| params.arrival_time(start, m.bytes);
-        match opts.algo {
-            CommAlgo::Standard => standard::simulate_faulted(
-                comm,
-                &opts.cfg,
-                ready,
-                &mut arrival,
-                tracer.as_ref(),
-                faults,
-            ),
-            CommAlgo::WorstCase => worstcase::simulate_faulted(
-                comm,
-                &opts.cfg,
-                ready,
-                &mut arrival,
-                tracer.as_ref(),
-                faults,
-            ),
-        }
-    }
-}
-
-/// A [`CompShaper`] applying a [`FaultPlan`]'s transient slowdowns and
-/// fail-stop outages to the computation charges of the program fold.
-pub struct FaultShaper<'a> {
-    plan: &'a FaultPlan,
-    sink: Option<&'a dyn TraceSink>,
-}
-
-impl<'a> FaultShaper<'a> {
-    /// A shaper applying `plan`, tracing into `sink` when given.
-    pub fn new(plan: &'a FaultPlan, sink: Option<&'a dyn TraceSink>) -> Self {
-        FaultShaper { plan, sink }
-    }
-}
-
-impl CompShaper for FaultShaper<'_> {
-    fn comp_charge(&mut self, step_idx: usize, proc: usize, base: Time) -> Time {
-        let step = step_idx as u64;
+impl FaultHook for FaultPlan {
+    fn comp_charge(
+        &self,
+        step: usize,
+        proc: usize,
+        base: Time,
+        sink: Option<&dyn TraceSink>,
+    ) -> Time {
+        let step = step as u64;
         let mut charge = base;
-        if let Some(pct) = self.plan.slow_factor(step, proc) {
+        if let Some(pct) = self.slow_factor(step, proc) {
             // Integer slowdown: extra = base · (pct − 100) / 100, widened so
             // factor × picoseconds cannot overflow.
             let extra_wide = (u128::from(base.as_ps()) * u128::from(pct - 100)) / 100;
             let extra = Time::from_ps(extra_wide.min(u128::from(u64::MAX)) as u64);
             if extra > Time::ZERO {
                 charge = charge.saturating_add(extra);
-                if let Some(s) = self.sink {
+                if let Some(s) = sink {
                     s.emit(&TraceEvent::Slowdown {
                         step,
                         proc,
@@ -141,12 +42,12 @@ impl CompShaper for FaultShaper<'_> {
                 }
             }
         }
-        if let Some(outage) = self.plan.outage(step, proc) {
+        if let Some(outage) = self.outage(step, proc) {
             // The processor is silent for the outage, then rejoins and works
             // through everything it owes — the same schedule as serving its
             // queued receives after a restart.
             charge = charge.saturating_add(outage);
-            if let Some(s) = self.sink {
+            if let Some(s) = sink {
                 s.emit(&TraceEvent::Fail {
                     step,
                     proc,
@@ -157,50 +58,13 @@ impl CompShaper for FaultShaper<'_> {
         }
         charge
     }
-}
 
-/// [`predsim_core::simulate_program`] under a fault plan; optionally
-/// traced. A zero plan reproduces the fault-free prediction exactly.
-pub fn simulate_faulted(
-    prog: &Program,
-    opts: &SimOptions,
-    plan: &FaultPlan,
-    sink: Option<&dyn TraceSink>,
-) -> Prediction {
-    simulate_faulted_bounded(prog, opts, plan, sink, SimBudget::unlimited()).prediction
-}
+    fn attempts(&self, step: usize, msg: &Message) -> u32 {
+        FaultPlan::attempts(self, step as u64, msg.id as u64)
+    }
 
-/// [`simulate_faulted`] with a per-run [`SimBudget`]; the returned
-/// [`SimRun`] records whether the budget cut the run short.
-pub fn simulate_faulted_bounded(
-    prog: &Program,
-    opts: &SimOptions,
-    plan: &FaultPlan,
-    sink: Option<&dyn TraceSink>,
-    budget: SimBudget,
-) -> SimRun {
-    let mut step_sim = FaultedStepSimulator::new(plan, sink);
-    let mut shaper = FaultShaper::new(plan, sink);
-    match sink {
-        Some(s) => {
-            let mut observer = FrontEmitter::new(s);
-            simulate_program_driven(
-                prog,
-                opts,
-                &mut step_sim,
-                &mut observer,
-                &mut shaper,
-                budget,
-            )
-        }
-        None => simulate_program_driven(
-            prog,
-            opts,
-            &mut step_sim,
-            &mut NullObserver,
-            &mut shaper,
-            budget,
-        ),
+    fn rto(&self, attempt: u32) -> Time {
+        FaultPlan::rto(self, attempt)
     }
 }
 
@@ -210,8 +74,24 @@ mod tests {
     use crate::spec::FaultSpec;
     use commsim::{CommPattern, SimConfig};
     use loggp::presets;
-    use predsim_core::{simulate_program, SimHalt, Step};
+    use predsim_core::{
+        simulate_program, simulate_request, CommAlgo, Prediction, Program, SimBudget, SimHalt,
+        SimOptions, SimRequest, Step,
+    };
     use predsim_obs::MemorySink;
+
+    fn simulate_faulted(
+        prog: &Program,
+        opts: &SimOptions,
+        plan: &FaultPlan,
+        sink: Option<&dyn TraceSink>,
+    ) -> Prediction {
+        let req = SimRequest {
+            sink,
+            ..SimRequest::default().with_faults(plan)
+        };
+        simulate_request(prog, opts, req).prediction
+    }
 
     fn plan(text: &str, seed: u64) -> FaultPlan {
         FaultPlan::new(FaultSpec::parse(text).unwrap(), seed)
@@ -312,8 +192,15 @@ mod tests {
     fn budgets_cut_faulted_runs_short() {
         let prog = ring_program(4, 5);
         let o = opts(4, CommAlgo::Standard);
-        let run =
-            simulate_faulted_bounded(&prog, &o, &plan("drop:0.5", 1), None, SimBudget::steps(2));
+        let plan = plan("drop:0.5", 1);
+        let run = simulate_request(
+            &prog,
+            &o,
+            SimRequest {
+                budget: SimBudget::steps(2),
+                ..SimRequest::default().with_faults(&plan)
+            },
+        );
         assert_eq!(run.halt, SimHalt::StepBudget { at_step: 2 });
         assert_eq!(run.prediction.steps.len(), 2);
     }

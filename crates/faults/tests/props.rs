@@ -3,10 +3,26 @@
 
 use commsim::{CommPattern, SimConfig};
 use loggp::{presets, Time};
-use predsim_core::{simulate_program, Program, SimOptions, Step};
-use predsim_faults::{simulate_faulted, FailEvent, FaultPlan, FaultSpec};
-use predsim_obs::MemorySink;
+use predsim_core::{
+    simulate_program, simulate_request, Prediction, Program, SimOptions, SimRequest, Step,
+};
+use predsim_faults::{FailEvent, FaultPlan, FaultSpec};
+use predsim_obs::{MemorySink, TraceSink};
 use proptest::prelude::*;
+
+/// The whole-program fold under `plan`, traced into `sink` when given.
+fn simulate_faulted(
+    prog: &Program,
+    opts: &SimOptions,
+    plan: &FaultPlan,
+    sink: Option<&dyn TraceSink>,
+) -> Prediction {
+    let req = SimRequest {
+        sink,
+        ..SimRequest::default().with_faults(plan)
+    };
+    simulate_request(prog, opts, req).prediction
+}
 
 /// A random well-formed program: 2–4 processors, 1–5 steps, each with a
 /// uniform computation charge and an acyclic message pattern (all messages

@@ -6,10 +6,10 @@
 //! (see the crate docs). Everything is deterministic for a fixed seed.
 
 use crate::cache::{Cache, Hierarchy};
-use commsim::{standard, CommPattern, SimConfig, StepFaults};
+use commsim::{CommAlgo, CommPattern, SimConfig, SimScratch, StepRequest};
 use loggp::Time;
-use predsim_core::{CompShaper, Prediction, Program, StepLoad, StepRecord};
-use predsim_faults::{FaultPlan, FaultShaper, StepFaultView};
+use predsim_core::{FaultHook, Prediction, Program, StepLoad, StepRecord};
+use predsim_faults::{FaultPlan, StepFaultView};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -181,7 +181,6 @@ pub fn emulate_faulted(
     let mut cache_penalty_time = Time::ZERO;
     let mut self_copy_time = Time::ZERO;
     let mut iter_overhead_time = Time::ZERO;
-    let mut shaper = faults.map(|plan| FaultShaper::new(plan, None));
 
     for (step_idx, step) in prog.steps().iter().enumerate() {
         let start = ready.iter().copied().min().unwrap_or(Time::ZERO);
@@ -217,11 +216,11 @@ pub fn emulate_faulted(
                     charge += penalty;
                 }
             }
-            if let Some(sh) = shaper.as_mut() {
+            if let Some(plan) = faults {
                 // Slowdowns stretch everything the CPU does this phase
                 // (base work, loop overhead and cache stalls alike);
                 // outages add their fixed silence on top.
-                charge = sh.comp_charge(step_idx, p, charge);
+                charge = plan.comp_charge(step_idx, p, charge, None);
             }
             comp_end[p] = ready[p] + charge;
             per_proc_comp[p] += charge;
@@ -309,7 +308,7 @@ fn simulate_comm(
     let mut link_free: HashMap<usize, Time> = HashMap::new();
     let mut bus_free = Time::ZERO;
     let mut rng = SmallRng::seed_from_u64(ecfg.cfg.seed ^ (0x9E37_79B9 ^ step_idx).rotate_left(17));
-    let view = faults.map(|plan| StepFaultView::new(plan, step_idx));
+    let view = faults.map(|plan| StepFaultView::new(plan, step_idx as usize));
 
     let mut arrival = |m: &commsim::Message, send_start: Time| {
         // Network part of the flight, jittered.
@@ -343,14 +342,11 @@ fn simulate_comm(
         }
         arrival
     };
-    standard::simulate_faulted(
-        pattern,
-        &ecfg.cfg,
-        ready,
-        &mut arrival,
-        None,
-        view.as_ref().map(|v| v as &dyn StepFaults),
-    )
+    let mut req = StepRequest::new(pattern, &ecfg.cfg, ready).with_arrival(&mut arrival);
+    if let Some(v) = &view {
+        req = req.with_faults(v);
+    }
+    CommAlgo::Standard.simulate(req, &mut SimScratch::new())
 }
 
 #[cfg(test)]

@@ -12,7 +12,6 @@
 //!
 //! Run with: `cargo run --example observe_ge`
 
-use predsim::predsim_core::simulate_program_traced;
 use predsim::predsim_engine::JobOutcome;
 use predsim::prelude::*;
 
@@ -25,7 +24,12 @@ fn main() {
     let opts = SimOptions::new(SimConfig::new(presets::meiko_cs2(procs)));
 
     let sink = MemorySink::new();
-    let pred = simulate_program_traced(&trace.program, &opts, &sink);
+    let pred = simulate_request(
+        &trace.program,
+        &opts,
+        SimRequest::default().with_sink(&sink),
+    )
+    .prediction;
     let events = sink.events();
 
     println!("blocked GE, n={n}, B={block}, diagonal layout, P={procs}, Meiko CS-2");
@@ -57,7 +61,10 @@ fn main() {
     let spec = FaultSpec::parse("drop:0.1").expect("valid fault spec");
     let plan = FaultPlan::new(spec, 42);
     let fault_sink = MemorySink::new();
-    let faulted = simulate_faulted(&trace.program, &opts, &plan, Some(&fault_sink));
+    let req = SimRequest::default()
+        .with_faults(&plan)
+        .with_sink(&fault_sink);
+    let faulted = simulate_request(&trace.program, &opts, req).prediction;
     let fault_events = fault_sink.events();
     let fcount = |k: &str| fault_events.iter().filter(|e| e.kind() == k).count();
     println!("\nunder {} (seed 42):", plan.spec());

@@ -23,7 +23,7 @@
 
 use predsim::cli::{machine, machine_spec, switch, valued, Args, FlagSpec};
 use predsim::predsim_core::report::{secs, Table};
-use predsim::predsim_core::{record_program, textfmt, CommAlgo};
+use predsim::predsim_core::{record_program, textfmt, CommAlgo, FaultHook};
 use predsim::predsim_dag::{self, SchedulerKind};
 use predsim::predsim_engine::{
     best_by_total, Engine, EngineConfig, JobResult, JobSource, JobSpec, Journal, JournalEntry,
@@ -527,10 +527,11 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     let plan = fault_plan(args)?;
 
     let sink = MemorySink::new();
-    let pred = match &plan {
-        Some(plan) => simulate_faulted(&program, &opts, plan, Some(&sink)),
-        None => predsim::predsim_core::simulate_program_traced(&program, &opts, &sink),
+    let req = SimRequest {
+        faults: plan.as_ref().map(|p| p as &dyn FaultHook),
+        ..SimRequest::default().with_sink(&sink)
     };
+    let pred = simulate_request(&program, &opts, req).prediction;
     let events = sink.events();
 
     if let Some(file) = args.value("trace-out") {

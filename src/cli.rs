@@ -163,7 +163,7 @@ fn unknown_machine(name: &str) -> String {
 /// Resolve a machine name to a possibly heterogeneous [`MachineSpec`]
 /// describing `procs` processors.
 ///
-/// Accepts everything [`machine`] does — built-in presets and registered
+/// Accepts everything [`machine()`] does — built-in presets and registered
 /// names become uniform specs — but `@FILE:NAME` additionally preserves
 /// the file's per-processor speed factors and per-link overrides when
 /// the preset file describes a heterogeneous machine. A heterogeneous

@@ -1342,3 +1342,85 @@ fn dag_workflow_generates_checks_runs_and_sweeps() {
         .unwrap();
     assert!(!out.status.success());
 }
+
+/// Runs `predsim ARGS... OUT_FLAG FILE` and returns the bytes written to FILE.
+fn output_file(name: &str, args: &[&str], out_flag: &str) -> Vec<u8> {
+    let path = tmp_file(name, "");
+    let out = bin()
+        .args(args)
+        .args([out_flag, path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::read(&path).unwrap()
+}
+
+fn golden(name: &str) -> Vec<u8> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/golden")
+        .join(name);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+#[test]
+fn traces_and_batch_results_match_golden_fixtures_byte_for_byte() {
+    // The fixtures pin event order, per-step `front` emission, the fault
+    // RNG stream, and the batch result table. Regenerate them only for a
+    // deliberate change of output, never to absorb a refactor's drift.
+    let batch = [
+        "batch",
+        "ge:240,24,diagonal,8",
+        "cannon:64,4",
+        "stencil:64,4,3",
+    ];
+    let cases: [(&str, Vec<&str>, &str); 5] = [
+        (
+            "trace_ge.jsonl",
+            vec!["trace", "ge:240,24,diagonal,8"],
+            "--trace-out",
+        ),
+        (
+            "trace_ge_drop.jsonl",
+            vec![
+                "trace",
+                "ge:240,24,diagonal,8",
+                "--faults",
+                "drop:0.2",
+                "--seed",
+                "7",
+            ],
+            "--trace-out",
+        ),
+        (
+            "trace_cannon_wc_faults.jsonl",
+            vec![
+                "trace",
+                "cannon:64,4",
+                "--worst-case",
+                "--faults",
+                "drop:0.2,fail:1@2+500",
+                "--seed",
+                "7",
+            ],
+            "--trace-out",
+        ),
+        ("batch.txt", batch.to_vec(), "--results-out"),
+        (
+            "batch_drop.txt",
+            [&batch[..], &["--faults", "drop:0.1", "--seed", "1"]].concat(),
+            "--results-out",
+        ),
+    ];
+    for (name, args, out_flag) in cases {
+        let got = output_file(&format!("golden-{name}"), &args, out_flag);
+        assert!(
+            got == golden(name),
+            "{name} differs from tests/fixtures/golden/{name} (predsim {})",
+            args.join(" ")
+        );
+    }
+}
