@@ -1,7 +1,7 @@
 //! The calibration closed loop on the paper's headline workload:
 //! emulate GE 960/32 (diagonal, 8 processors), fit a LogGP preset to
 //! the measured runs, and score the fitted preset by the paper's own
-//! bracketing criterion on held-out runs — `standard ≤ measured ≤
+//! bracketing test on held-out runs — `standard ≤ measured ≤
 //! worst-case`.
 //!
 //! Writes `BENCH_CALIB.json` (strict JSON, integer picoseconds and

@@ -1,7 +1,6 @@
 //! Batch-engine throughput: wall-clock time of a realistic prediction
-//! sweep under the four engine configurations (1 thread / all threads ×
-//! memo on / off), verifying along the way that every configuration
-//! produces bit-identical predictions.
+//! sweep on one worker thread and on one worker per CPU, verifying along
+//! the way that both configurations produce bit-identical predictions.
 //!
 //! ```text
 //! cargo run -p bench --release --bin engine_throughput
@@ -16,9 +15,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// A program that repeats the same heavyweight collective step: uniform
-/// computation followed by a `procs`-way all-to-all. Every iteration after
-/// the first presents the identical relative readiness shape, so the memo
-/// cache answers it with a shifted replay of the first.
+/// computation followed by a `procs`-way all-to-all.
 fn collective_trace(procs: usize, steps: usize, bytes: usize) -> Arc<Program> {
     let mut prog = Program::new(procs);
     for s in 0..steps {
@@ -32,9 +29,8 @@ fn collective_trace(procs: usize, steps: usize, bytes: usize) -> Arc<Program> {
 }
 
 /// The sweep: every paper block size for GE on 8 processors, long-running
-/// stencil and Cannon predictions, and two repeated-collective traces —
-/// a mix of memo-friendly (repeated steps) and memo-hostile (distinct
-/// wavefronts) jobs, each predicted on two machines.
+/// stencil and Cannon predictions, and two repeated-collective traces,
+/// each predicted on two machines.
 fn workload() -> Vec<JobSpec> {
     let n = 480;
     let mut grid = Grid::new();
@@ -81,13 +77,11 @@ fn workload() -> Vec<JobSpec> {
         .build()
 }
 
-fn time_run(config: EngineConfig, jobs: &[JobSpec]) -> (f64, Vec<JobResult>, u64, u64) {
+fn time_run(config: EngineConfig, jobs: &[JobSpec]) -> (f64, Vec<JobResult>) {
     let engine = Engine::new(config);
     let t0 = Instant::now();
     let results = engine.run(jobs);
-    let dt = t0.elapsed().as_secs_f64();
-    let stats = engine.stats();
-    (dt, results, stats.hits, stats.misses)
+    (t0.elapsed().as_secs_f64(), results)
 }
 
 fn assert_identical(a: &[JobResult], b: &[JobResult]) {
@@ -121,57 +115,31 @@ fn main() {
         cpus
     );
 
-    let par_no_memo = format!("{cpus} workers, no memo");
-    let par_memo = format!("{cpus} workers, memo");
-    let configs: [(&str, EngineConfig); 4] = [
-        (
-            "sequential, no memo",
-            EngineConfig::default().with_jobs(1).with_memo(false),
-        ),
-        ("sequential, memo", EngineConfig::default().with_jobs(1)),
-        (&par_no_memo, EngineConfig::default().with_memo(false)),
-        (&par_memo, EngineConfig::default()),
-    ];
+    let (seq_dt, seq) = time_run(EngineConfig::default().with_jobs(1), &jobs);
+    let (par_dt, par) = time_run(EngineConfig::default(), &jobs);
+    assert_identical(&seq, &par);
+    let speedup = seq_dt / par_dt;
 
-    let mut table = Table::new([
-        "configuration",
-        "wall (ms)",
-        "speedup",
-        "memo hits",
-        "memo misses",
+    let mut table = Table::new(["configuration", "wall (ms)", "speedup"]);
+    table.row([
+        "sequential".into(),
+        format!("{:.1}", seq_dt * 1e3),
+        "1.00x".into(),
     ]);
-    let mut baseline: Option<(f64, Vec<JobResult>)> = None;
-    let mut best_speedup = 0.0f64;
-    for (name, config) in configs {
-        let (dt, results, hits, misses) = time_run(config, &jobs);
-        let speedup = match &baseline {
-            None => 1.0,
-            Some((t0, first)) => {
-                assert_identical(first, &results);
-                t0 / dt
-            }
-        };
-        best_speedup = best_speedup.max(speedup);
-        table.row([
-            name.to_string(),
-            format!("{:.1}", dt * 1e3),
-            format!("{speedup:.2}x"),
-            hits.to_string(),
-            misses.to_string(),
-        ]);
-        if baseline.is_none() {
-            baseline = Some((dt, results));
-        }
-    }
+    table.row([
+        format!("{cpus} workers"),
+        format!("{:.1}", par_dt * 1e3),
+        format!("{speedup:.2}x"),
+    ]);
     println!("{}", table.render());
-    println!("all four configurations produced bit-identical predictions");
+    println!("both configurations produced bit-identical predictions");
     if cpus >= 4 {
         assert!(
-            best_speedup >= 2.0,
-            "expected >=2x speedup over the sequential no-memo baseline on a \
-             {cpus}-core host, measured {best_speedup:.2}x"
+            speedup >= 2.0,
+            "expected >=2x speedup over the sequential baseline on a \
+             {cpus}-core host, measured {speedup:.2}x"
         );
-        println!("speedup target met: {best_speedup:.2}x >= 2x");
+        println!("speedup target met: {speedup:.2}x >= 2x");
     } else {
         println!("(host has {cpus} CPUs; >=2x speedup is only asserted on 4+)");
     }

@@ -7,14 +7,15 @@
 //! the [`machine`] emulator (live, or recorded to a JSONL file), it
 //! fits the four LogGP parameters by deterministic least-squares search
 //! *over the simulator itself*, and scores the fit by the paper's own
-//! criterion — the standard algorithm should under-approximate and the
+//! test — the standard algorithm should under-approximate and the
 //! worst-case algorithm over-approximate what the machine measures.
 //!
 //! * [`measure`](mod@measure) — collecting runs from the emulator and the strict
 //!   JSONL measured-file format;
 //! * [`fit`] — the objective (asymmetric least squares against the
 //!   per-step measured floor) and the coordinate-descent /
-//!   golden-section search, memoized through the engine;
+//!   golden-section search, each parameter point evaluated once through
+//!   the engine;
 //! * [`bracket`](mod@bracket) — the `standard ≤ measured ≤ worst-case` hit rate on
 //!   held-out runs;
 //! * [`export_metrics`] — publishing a fit into a

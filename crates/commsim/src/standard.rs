@@ -260,8 +260,8 @@ fn sim_core_impl<const REC: bool>(
 }
 
 /// Final phase: all sends done; every processor drains its receives in
-/// arrival order. Shared between the main loop and [`crate::replay`].
-pub(crate) fn drain(
+/// arrival order.
+fn drain(
     params: &loggp::LogGpParams,
     cfg: &SimConfig,
     scratch: &mut SimScratch,

@@ -89,8 +89,8 @@ fn wc_send(
 }
 
 /// Part 2 of a round: every destination receives the messages delivered so
-/// far, in `(arrival, msg.id)` order. Shared with [`crate::replay`].
-pub(crate) fn wc_drain(
+/// far, in `(arrival, msg.id)` order.
+fn wc_drain(
     scratch: &mut SimScratch,
     timeline: &mut Timeline,
     params: &LogGpParams,

@@ -4,14 +4,14 @@
 //! timeline — pattern shape, LogGP parameters, gap rule, tie-break policy
 //! and seed, fault plans, and custom arrival hooks (including misbehaving
 //! ones, which both sides clamp identically). A second group pins the
-//! incremental-replay invariant: whenever `Recording::replay` accepts, its
-//! output equals a full re-simulation, and the worst-case replay accepts
-//! unconditionally.
+//! incremental re-timing invariant: whenever `Recording::retime` accepts,
+//! its per-processor maxima equal those of a full re-simulation, and the
+//! worst-case re-timing accepts unconditionally.
 
 use commsim::faults::StepFaults;
 use commsim::{
-    patterns, reference, CommAlgo, CommPattern, Message, SimConfig, SimResult, SimScratch,
-    StepRequest, StepTracer, TieBreak,
+    patterns, reference, CommAlgo, CommPattern, Message, Recording, SimConfig, SimResult,
+    SimScratch, StepEnds, StepRequest, StepTracer, TieBreak,
 };
 use loggp::{LogGpParams, Time};
 use predsim_obs::MemorySink;
@@ -94,6 +94,39 @@ fn simulate_from(
         StepRequest::new(pattern, cfg, ready),
         &mut SimScratch::new(),
     )
+}
+
+/// Re-time `rec` under `cfg` and check the result against a full
+/// simulation at `cfg`: `true` iff retime accepted, in which case its
+/// maxima equal what [`StepEnds::absorb`] extracts from the full run.
+fn retime_matches_full(
+    label: &str,
+    rec: &Recording,
+    pattern: &CommPattern,
+    cfg: &SimConfig,
+    ready: &[Time],
+    scratch: &mut SimScratch,
+) -> bool {
+    let mut ends = StepEnds::default();
+    if !rec.retime(pattern, cfg, ready, scratch, &mut ends) {
+        return false;
+    }
+    let mut expect = StepEnds::default();
+    expect.reset(ready);
+    expect.absorb(&simulate_from(rec.algo(), pattern, cfg, ready));
+    assert_eq!(
+        ends.comm_done, expect.comm_done,
+        "{label}: comm_done diverged"
+    );
+    assert_eq!(
+        ends.last_recv_done, expect.last_recv_done,
+        "{label}: last_recv_done diverged"
+    );
+    assert_eq!(
+        ends.forced_sends, expect.forced_sends,
+        "{label}: forced_sends diverged"
+    );
+    true
 }
 
 fn assert_same(label: &str, new: &commsim::SimResult, old: &commsim::SimResult) {
@@ -277,13 +310,13 @@ proptest! {
         }
     }
 
-    /// Incremental re-simulation ≡ full re-simulation for param-only
-    /// changes: whenever the standard replay accepts a new parameter set,
-    /// its timeline is bit-identical to simulating from scratch; recording
-    /// itself is also bit-identical to a plain run, and replaying at the
-    /// recorded parameters always accepts.
+    /// Incremental re-timing ≡ full re-simulation for param-only
+    /// changes: whenever the standard re-timing accepts a new parameter
+    /// set, its per-processor maxima equal those of simulating from
+    /// scratch; recording itself is also bit-identical to a plain run, and
+    /// re-timing at the recorded parameters always accepts.
     #[test]
-    fn standard_replay_equals_full_resim(
+    fn standard_retime_equals_full_resim(
         pattern in arb_pattern(),
         base in arb_params(),
         alt in arb_params(),
@@ -298,23 +331,21 @@ proptest! {
         let direct = simulate_from(CommAlgo::Standard, &pattern, &base_cfg, ready);
         assert_same("recording run", &recorded, &direct);
 
-        // Replaying at the *same* params must always accept and agree.
-        let same = rec.replay(&pattern, &base_cfg, ready, &mut scratch)
-            .expect("replay at recorded params always valid");
-        assert_same("replay@same", &same, &direct);
+        // Re-timing at the *same* params must always accept and agree.
+        prop_assert!(
+            retime_matches_full("retime@same", &rec, &pattern, &base_cfg, ready, &mut scratch),
+            "retime at recorded params always valid"
+        );
 
-        // At different params, accept ⇒ bit-identical to a full run.
+        // At different params, accept ⇒ identical to a full run.
         let alt_cfg = make_cfg(alt, procs, false, classic, 0);
-        if let Some(replayed) = rec.replay(&pattern, &alt_cfg, ready, &mut scratch) {
-            let full = simulate_from(CommAlgo::Standard, &pattern, &alt_cfg, ready);
-            assert_same("replay@alt", &replayed, &full);
-        }
+        retime_matches_full("retime@alt", &rec, &pattern, &alt_cfg, ready, &mut scratch);
     }
 
-    /// The worst-case replay is unconditional: any parameter change (same
-    /// seed) replays exactly.
+    /// The worst-case re-timing is unconditional: any parameter change
+    /// (same seed) re-times exactly.
     #[test]
-    fn worstcase_replay_equals_full_resim(
+    fn worstcase_retime_equals_full_resim(
         pattern in arb_pattern(),
         base in arb_params(),
         alt in arb_params(),
@@ -331,9 +362,9 @@ proptest! {
         assert_same("wc recording run", &recorded, &direct);
 
         let alt_cfg = make_cfg(alt, procs, false, classic, seed);
-        let replayed = rec.replay(&pattern, &alt_cfg, ready, &mut scratch)
-            .expect("worst-case replay is unconditional for matching seeds");
-        let full = simulate_from(CommAlgo::WorstCase, &pattern, &alt_cfg, ready);
-        assert_same("wc replay@alt", &replayed, &full);
+        prop_assert!(
+            retime_matches_full("wc retime@alt", &rec, &pattern, &alt_cfg, ready, &mut scratch),
+            "worst-case retime is unconditional for matching seeds"
+        );
     }
 }

@@ -266,13 +266,6 @@ pub struct StepCall<'a> {
 }
 
 impl StepCall<'_> {
-    /// True when the step is neither traced nor fault-injected: its result
-    /// is then a pure function of the pattern, the options and the ready
-    /// times, which is what caching and replaying backends rely on.
-    pub fn is_plain(&self) -> bool {
-        self.sink.is_none() && self.faults.is_none()
-    }
-
     /// Run the step on the direct [`commsim`] algorithms in `scratch`,
     /// with the call's tracer and fault view attached.
     pub fn run(&self, scratch: &mut SimScratch) -> SimResult {
@@ -293,9 +286,9 @@ impl StepCall<'_> {
 ///
 /// The fold is the same for every run; everything expensive happens inside
 /// the per-step LogGP simulation. Abstracting that one call lets
-/// alternative backends — `predsim-engine`'s fingerprint-memoizing cache,
-/// the recording and replaying backends of [`crate::replay`] — slot under
-/// the unchanged program loop while guaranteeing identical results.
+/// alternative backends — the recording and replaying backends of
+/// [`crate::replay`] — slot under the unchanged program loop while
+/// guaranteeing identical results.
 pub trait StepSimulator {
     /// Simulate one communication step and leave its per-processor
     /// completion times in `ends`: exactly what

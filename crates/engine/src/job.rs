@@ -520,9 +520,7 @@ pub struct JobSpec {
     pub source: JobSource,
     /// Simulation options (machine model, algorithm, policies).
     pub opts: SimOptions,
-    /// Faults to inject into the simulation, if any. Faulted jobs bypass
-    /// the memo cache: fault decisions are keyed by absolute step index,
-    /// which the cache's relative step fingerprints cannot see.
+    /// Faults to inject into the simulation, if any.
     pub faults: Option<FaultPlan>,
 }
 

@@ -3,28 +3,18 @@
 //! The paper's workflow evaluates many predictions: block-size sweeps
 //! (Figure 7), machine comparisons, scaling studies. Each prediction is an
 //! independent pure function of `(program, machine, options)`, so a batch
-//! parallelizes perfectly — and consecutive predictions re-simulate the
-//! *same communication steps* over and over (every stencil iteration,
-//! every Cannon rotate round, every repeated wavefront shape).
+//! parallelizes perfectly: a worker pool ([`Engine::run`]) lets `--jobs`
+//! threads claim [`JobSpec`]s from a shared cursor, simulates each with
+//! the direct LogGP step simulators, and reassembles the [`JobResult`]s in
+//! submission order — results are bit-identical to running the jobs
+//! sequentially, whatever the worker count.
 //!
-//! The engine exploits both:
-//!
-//! * **a worker pool** ([`Engine::run`]) deals [`JobSpec`]s to
-//!   `--jobs` threads over crossbeam channels and reassembles the
-//!   [`JobResult`]s in submission order — results are bit-identical to
-//!   running the jobs sequentially, whatever the worker count;
-//! * **a step-pattern memo cache** ([`MemoCache`]) fingerprints each
-//!   communication step (pattern × machine × algorithm × relative
-//!   readiness, see [`fingerprint::StepKey`]) and replays the cached
-//!   schedule, shifted to the step's base time, on a hit. Keys compare
-//!   their full canonical encoding, so collisions cannot corrupt results.
-//!
-//! Both are observable: attach an [`EngineObs`] (trace sink + metrics
+//! The pool is observable: attach an [`EngineObs`] (trace sink + metrics
 //! registry from `predsim-obs`) via [`Engine::with_obs`] and every job
-//! emits `job_start`/`worker_assign`/`job_finish` events, every memo
-//! lookup a `memo_hit`/`memo_miss`, while [`Engine::run_report`] returns
-//! the batch results together with a metrics snapshot. Observation never
-//! changes results — predictions stay bit-identical with tracing on.
+//! emits `job_start`/`worker_assign`/`job_finish` events, while
+//! [`Engine::run_report`] returns the batch results together with a
+//! metrics snapshot. Observation never changes results — predictions stay
+//! bit-identical with tracing on.
 //!
 //! The engine is also **resilient**: a batch never dies with a job.
 //!
@@ -41,8 +31,8 @@
 //!   to an uninterrupted run, because predictions are pure functions of
 //!   their specs;
 //! * [`JobSpec::with_faults`] attaches a `predsim-faults` plan, predicting
-//!   the job on a degraded machine (such jobs bypass the memo cache, whose
-//!   step fingerprints cannot see absolute step indices).
+//!   the job on a degraded machine; such jobs trace every step through the
+//!   attached sink.
 //!
 //! ```
 //! use predsim_engine::{Engine, EngineConfig, Grid, JobSource};
@@ -56,25 +46,18 @@
 //! let engine = Engine::new(EngineConfig::default());
 //! let results = engine.run(&jobs);
 //! assert_eq!(results.len(), 2);
-//! assert!(engine.stats().hits > 0); // iterations 2..8 replay iteration 1
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod cache;
-pub mod fingerprint;
 pub mod job;
 pub mod journal;
 
-pub use cache::{CacheStats, MemoCache, MemoStepSimulator};
-pub use fingerprint::StepKey;
 pub use job::{Grid, JobOutcome, JobResult, JobSource, JobSpec, LayoutSpec};
 pub use journal::{Journal, JournalEntry};
 
-use crossbeam::channel;
 use predsim_core::{
-    simulate_request, CommAlgo, DirectStepSimulator, FaultHook, Prediction, SimBudget, SimRequest,
-    SimRun, StepSimulator,
+    simulate_request, CommAlgo, FaultHook, Prediction, SimBudget, SimRequest, SimRun,
 };
 use predsim_lint::{check_program, Code, Diagnostic, LintOptions, Report, Severity, Span};
 use predsim_obs::{
@@ -82,7 +65,8 @@ use predsim_obs::{
     TraceSink,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Lint one job without running it: first the spec itself (would the
@@ -173,25 +157,11 @@ pub fn record_job(
 
 /// Ranking key for batch dispatch: static ceiling (descending — the job
 /// that can run longest starts first, so it cannot become the lone
-/// straggler at the end of the batch), then a memo-affinity hash grouping
-/// specs with the same machine and algorithm (their step fingerprints can
-/// hit each other's cache entries), then the submission index. Jobs with
-/// no static interval (faulted, infeasible) rank as longest.
-fn rank_key(index: usize, spec: &JobSpec) -> (std::cmp::Reverse<u64>, u64, usize) {
-    use std::hash::{Hash, Hasher};
+/// straggler at the end of the batch), then the submission index. Jobs
+/// with no static interval (faulted, infeasible) rank as longest.
+fn rank_key(index: usize, spec: &JobSpec) -> (std::cmp::Reverse<u64>, usize) {
     let hi = static_bounds(spec).map_or(u64::MAX, |b| b.hi.as_ps());
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    let p = spec.opts.cfg.params;
-    (
-        p.latency.as_ps(),
-        p.overhead.as_ps(),
-        p.gap.as_ps(),
-        p.gap_per_byte.as_ps(),
-        p.procs,
-    )
-        .hash(&mut hasher);
-    matches!(spec.opts.algo, CommAlgo::WorstCase).hash(&mut hasher);
-    (std::cmp::Reverse(hi), hasher.finish(), index)
+    (std::cmp::Reverse(hi), index)
 }
 
 /// One job [`Engine::run_checked`] refused to execute.
@@ -235,19 +205,13 @@ impl std::error::Error for BatchRejection {}
 pub struct EngineConfig {
     /// Worker threads; `0` means one per available CPU.
     pub jobs: usize,
-    /// Whether to memoize communication steps.
-    pub memo: bool,
-    /// Lock shards of the memo cache.
-    pub shards: usize,
-    /// Entries per shard before epoch eviction.
-    pub shard_capacity: usize,
     /// Per-job simulation budget; exceeding it yields
     /// [`JobOutcome::TimedOut`] instead of running forever.
     pub budget: SimBudget,
     /// Re-execution attempts after a crashed or timed-out job (0 = fail on
     /// the first bad attempt). Predictions are deterministic, so retries
-    /// guard against *host*-side transience (memory pressure, a poisoned
-    /// cache shard), not simulation randomness.
+    /// guard against *host*-side transience (memory pressure), not
+    /// simulation randomness.
     pub retries: u32,
     /// Base backoff between retry attempts, milliseconds; doubled per
     /// attempt, capped at one second. `0` retries immediately.
@@ -258,9 +222,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             jobs: 0,
-            memo: true,
-            shards: 16,
-            shard_capacity: 4096,
             budget: SimBudget::unlimited(),
             retries: 0,
             retry_backoff_ms: 0,
@@ -286,9 +247,10 @@ impl EngineConfig {
         self
     }
 
-    /// Same config with memoization switched on or off.
-    pub fn with_memo(mut self, memo: bool) -> Self {
-        self.memo = memo;
+    /// Does nothing: the engine no longer memoizes steps. Kept only for
+    /// the `perfbench` crate, its one remaining caller.
+    #[doc(hidden)]
+    pub fn with_memo(self, _memo: bool) -> Self {
         self
     }
 
@@ -372,8 +334,8 @@ impl EngineMetrics {
 ///
 /// The default has no sink (events cost nothing) and a private registry.
 /// Attaching a sink makes every batch job emit `job_start` /
-/// `worker_assign` / `job_finish` events and every memo-cache lookup a
-/// `memo_hit` / `memo_miss` event; results stay bit-identical either way.
+/// `worker_assign` / `job_finish` events; results stay bit-identical
+/// either way.
 #[derive(Clone)]
 pub struct EngineObs {
     sink: Option<Arc<dyn TraceSink>>,
@@ -427,22 +389,26 @@ pub struct RunReport {
     /// The job results, in submission order — exactly [`Engine::run`]'s
     /// return value.
     pub results: Vec<JobResult>,
-    /// Snapshot of the engine registry, including the memo-cache gauges
-    /// published at the end of the run.
+    /// Snapshot of the engine registry at the end of the run.
     pub metrics: MetricsSnapshot,
-    /// Memo-cache counters as of the end of the run.
-    pub cache: CacheStats,
     /// Host wall-clock of the whole batch, in nanoseconds.
     pub wall_ns: u64,
 }
 
-/// The batch-prediction engine: a worker pool plus a shared memo cache.
-///
-/// The cache persists across [`Engine::run`] calls, so a sweep following a
-/// sweep over the same programs starts warm.
+/// Step-cache counters of an engine that no longer has a step cache:
+/// both are always zero (see [`Engine::stats`]).
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Always zero.
+    pub hits: u64,
+    /// Always zero.
+    pub misses: u64,
+}
+
+/// The batch-prediction engine: a worker pool over the direct simulators.
 pub struct Engine {
     config: EngineConfig,
-    cache: Arc<MemoCache>,
     obs: EngineObs,
 }
 
@@ -461,15 +427,10 @@ impl Engine {
     /// An engine with the given configuration and observability
     /// attachments.
     pub fn with_obs(config: EngineConfig, obs: EngineObs) -> Self {
-        let cache = Arc::new(MemoCache::new(
-            config.shards.max(1),
-            config.shard_capacity.max(1),
-        ));
-        Engine { config, cache, obs }
+        Engine { config, obs }
     }
 
-    /// A single-threaded engine (useful as the comparison baseline; still
-    /// memoizes unless `memo` is disabled).
+    /// A single-threaded engine (useful as the comparison baseline).
     pub fn sequential() -> Self {
         Engine::new(EngineConfig::default().with_jobs(1))
     }
@@ -479,9 +440,11 @@ impl Engine {
         &self.config
     }
 
-    /// Snapshot of the memo-cache counters.
-    pub fn stats(&self) -> CacheStats {
-        self.cache.stats()
+    /// Always-zero step-cache counters. Kept only for the `perfbench`
+    /// crate, its one remaining caller.
+    #[doc(hidden)]
+    pub fn stats(&self) -> EngineStats {
+        EngineStats::default()
     }
 
     /// The engine's observability attachments.
@@ -489,39 +452,25 @@ impl Engine {
         &self.obs
     }
 
-    /// Predict one job with this engine's cache. The job runs under the
-    /// engine's budget; a truncated run returns the prediction over the
-    /// simulated prefix (use [`Engine::run`] for outcome-aware results).
+    /// Predict one job. The job runs under the engine's budget; a
+    /// truncated run returns the prediction over the simulated prefix (use
+    /// [`Engine::run`] for outcome-aware results).
     pub fn run_one(&self, spec: &JobSpec) -> Prediction {
-        self.run_one_bounded(u64::MAX, spec).prediction
+        self.run_one_bounded(spec).prediction
     }
 
-    /// The one true per-job simulation path, stamped with a batch job
-    /// index for the trace. Faulted jobs are traced step by step and
-    /// bypass the memo cache (see [`MemoStepSimulator`]: fault decisions
-    /// are keyed by absolute step index, which the cache's relative
-    /// fingerprints cannot represent); fault-free jobs report only their
-    /// memo lookups.
-    fn run_one_bounded(&self, job: u64, spec: &JobSpec) -> SimRun {
+    /// The one per-job simulation path: build the program, then simulate
+    /// it on the direct backend. Faulted jobs are traced step by step
+    /// through the attached sink; fault-free jobs emit no step events.
+    fn run_one_bounded(&self, spec: &JobSpec) -> SimRun {
         let program = {
             let _t = ScopedTimer::counter(&self.obs.metrics.phase_build_ns);
             spec.source.build()
         };
         let _t = ScopedTimer::counter(&self.obs.metrics.phase_simulate_ns);
         let faults = spec.faults.as_ref().map(|plan| plan as &dyn FaultHook);
-        let mut direct = DirectStepSimulator::new();
-        let mut memo;
-        let backend: &mut dyn StepSimulator = if self.config.memo {
-            memo = match &self.obs.sink {
-                Some(sink) => MemoStepSimulator::traced(&self.cache, sink.as_ref(), job),
-                None => MemoStepSimulator::new(&self.cache),
-            };
-            &mut memo
-        } else {
-            &mut direct
-        };
         let req = SimRequest {
-            backend: Some(backend),
+            backend: None,
             sink: faults.and(self.obs.sink.as_deref()),
             faults,
             budget: self.config.budget,
@@ -588,52 +537,45 @@ impl Engine {
             .gauge("engine_workers", "worker threads of the last batch")
             .set(workers as u64);
 
+        // Results are journalled as they arrive — a batch killed mid-run
+        // has already checkpointed everything that finished.
+        let mut finish = |result: JobResult| {
+            if let Some(journal) = journal {
+                journal.record(&result);
+            }
+            let i = result.index;
+            debug_assert!(slots[i].is_none(), "job {i} executed twice");
+            slots[i] = Some(result);
+        };
         if workers <= 1 {
             for &i in &pending {
                 self.assign(i, 0);
-                let result = self.execute(i, &specs[i]);
-                if let Some(journal) = journal {
-                    journal.record(&result);
-                }
-                slots[i] = Some(result);
+                finish(self.execute(i, &specs[i]));
             }
         } else {
-            let (work_tx, work_rx) = channel::unbounded::<usize>();
-            let (done_tx, done_rx) = channel::unbounded::<JobResult>();
-            for &i in &pending {
-                work_tx.send(i).expect("work queue open");
-            }
-            drop(work_tx);
-
-            // Results are collected and journalled *inside* the scope, as
-            // they arrive — a batch killed mid-run has already checkpointed
-            // everything that finished. The drain terminates when the last
-            // worker exits and drops its `done_tx` clone.
-            let joined = crossbeam::thread::scope(|scope| {
-                for worker in 0..workers {
-                    let work_rx = work_rx.clone();
-                    let done_tx = done_tx.clone();
-                    scope.spawn(move |_| {
-                        while let Ok(i) = work_rx.recv() {
-                            self.assign(i, worker as u64);
-                            let _ = done_tx.send(self.execute(i, &specs[i]));
-                        }
-                    });
-                }
-                drop(done_tx);
-                while let Ok(result) = done_rx.recv() {
-                    if let Some(journal) = journal {
-                        journal.record(&result);
+            // Workers claim pending jobs through a shared cursor and send
+            // each result back; the drain ends when the last worker exits
+            // and drops its sender. A worker dying outside the per-job
+            // isolation (it should not: `execute` catches panics) is
+            // reported per-job below, not propagated as a batch-killing
+            // panic.
+            let next = AtomicUsize::new(0);
+            let (done_tx, done_rx) = mpsc::channel();
+            let _ = catch_unwind(AssertUnwindSafe(|| {
+                std::thread::scope(|scope| {
+                    for worker in 0..workers as u64 {
+                        let (done_tx, next, pending) = (done_tx.clone(), &next, &pending);
+                        scope.spawn(move || {
+                            while let Some(&i) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
+                                self.assign(i, worker);
+                                let _ = done_tx.send(self.execute(i, &specs[i]));
+                            }
+                        });
                     }
-                    let i = result.index;
-                    debug_assert!(slots[i].is_none(), "job {i} executed twice");
-                    slots[i] = Some(result);
-                }
-            });
-            // A worker dying outside the per-job isolation (it should not:
-            // `execute` catches panics) is reported per-job below, not
-            // propagated as a batch-killing panic.
-            drop(joined);
+                    drop(done_tx);
+                    done_rx.into_iter().for_each(&mut finish);
+                })
+            }));
         }
 
         slots
@@ -698,10 +640,8 @@ impl Engine {
         }
     }
 
-    /// Like [`Engine::run`], but also snapshot the metrics registry and
-    /// the memo-cache counters when the batch finishes. Cache figures are
-    /// published into the registry first (as `engine_cache_*` gauges), so
-    /// a Prometheus or JSON export of the snapshot carries them too.
+    /// Like [`Engine::run`], but also snapshot the metrics registry when
+    /// the batch finishes.
     pub fn run_report(&self, specs: &[JobSpec]) -> RunReport {
         let start = Instant::now();
         let results = self.run(specs);
@@ -709,32 +649,18 @@ impl Engine {
         RunReport {
             results,
             metrics: self.metrics_snapshot(),
-            cache: self.stats(),
             wall_ns,
         }
     }
 
-    /// Publish the memo-cache counters into the registry (as
-    /// `engine_cache_*` gauges), flush the trace sink, and snapshot the
-    /// registry. Called by [`Engine::run_report`]; call it directly after
+    /// Flush the trace sink and snapshot the metrics registry. Called by
+    /// [`Engine::run_report`]; call it directly after
     /// [`Engine::run`]/[`Engine::run_checked`] to export metrics.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let cache = self.stats();
-        let reg = &self.obs.registry;
-        reg.gauge("engine_cache_hits", "memo-cache hits so far")
-            .set(cache.hits);
-        reg.gauge("engine_cache_misses", "memo-cache misses so far")
-            .set(cache.misses);
-        reg.gauge("engine_cache_inserts", "memo-cache inserts so far")
-            .set(cache.inserts);
-        reg.gauge("engine_cache_evictions", "memo-cache evictions so far")
-            .set(cache.evictions);
-        reg.gauge("engine_cache_hit_permille", "memo-cache hit rate, permille")
-            .set((cache.hit_rate() * 1000.0).round() as u64);
         if let Some(sink) = &self.obs.sink {
             sink.flush();
         }
-        reg.snapshot()
+        self.obs.registry.snapshot()
     }
 
     fn assign(&self, index: usize, worker: u64) {
@@ -774,7 +700,7 @@ impl Engine {
         let max_attempts = self.config.retries.saturating_add(1);
         let mut outcome = None;
         for attempt in 1..=max_attempts {
-            match catch_unwind(AssertUnwindSafe(|| self.run_one_bounded(job, spec))) {
+            match catch_unwind(AssertUnwindSafe(|| self.run_one_bounded(spec))) {
                 Ok(run) if run.halt.is_complete() => {
                     outcome = Some(JobOutcome::Done {
                         prediction: run.prediction,
@@ -906,39 +832,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_and_memo_is_transparent() {
+    fn parallel_matches_sequential_and_direct_simulation() {
         let jobs = stencil_grid();
-        let plain: Vec<JobResult> = {
-            let e = Engine::new(EngineConfig::default().with_jobs(1).with_memo(false));
-            e.run(&jobs)
-        };
-        let memo_seq = Engine::sequential().run(&jobs);
-        let memo_par = Engine::new(EngineConfig::default().with_jobs(4)).run(&jobs);
-        assert_identical(&plain, &memo_seq);
-        assert_identical(&plain, &memo_par);
-    }
-
-    #[test]
-    fn repeated_steps_hit_the_cache() {
-        let engine = Engine::new(EngineConfig::default().with_jobs(2));
-        let jobs = Grid::new()
-            .source(
-                "st",
-                JobSource::Stencil {
-                    n: 48,
-                    procs: 4,
-                    iters: 40,
-                    ps_per_flop: 500,
-                },
-            )
-            .machine("meiko", presets::meiko_cs2(4))
-            .build();
-        engine.run(&jobs);
-        let stats = engine.stats();
-        // The readiness offsets settle into a steady state after a few
-        // warm-up iterations; from then on every iteration is a hit.
-        assert!(stats.hits >= 20, "hits: {}", stats.hits);
-        assert!(stats.misses >= 1);
+        let seq = Engine::sequential().run(&jobs);
+        let par = Engine::new(EngineConfig::default().with_jobs(4)).run(&jobs);
+        assert_identical(&seq, &par);
+        for (r, spec) in seq.iter().zip(&jobs) {
+            let direct = predsim_core::simulate_program(&spec.source.build(), &spec.opts);
+            assert_eq!(*r.prediction(), direct, "{}", r.label);
+        }
     }
 
     #[test]
@@ -1081,8 +983,6 @@ mod tests {
         assert_eq!(count("job_start"), jobs.len());
         assert_eq!(count("job_finish"), jobs.len());
         assert_eq!(count("worker_assign"), jobs.len());
-        assert!(count("memo_hit") > 0, "repeated steps must hit");
-        assert!(count("memo_miss") > 0);
         for r in &report.results {
             assert!(
                 events.iter().any(|e| matches!(e,
@@ -1095,7 +995,7 @@ mod tests {
             );
         }
 
-        // The snapshot agrees with the batch and the cache counters.
+        // The snapshot agrees with the batch.
         let snap = &report.metrics;
         assert_eq!(
             snap.scalar("engine_jobs_total", &[]),
@@ -1104,17 +1004,8 @@ mod tests {
         assert_eq!(snap.scalar("engine_workers", &[]), Some(2));
         let (n, _) = snap.histogram_totals("engine_job_wall_ns").unwrap();
         assert_eq!(n, jobs.len() as u64);
-        assert_eq!(
-            snap.scalar("engine_cache_hits", &[]),
-            Some(report.cache.hits)
-        );
-        assert_eq!(
-            snap.scalar("engine_cache_misses", &[]),
-            Some(report.cache.misses)
-        );
         assert!(snap.scalar("engine_phase_simulate_ns", &[]).unwrap() > 0);
         assert!(report.wall_ns > 0);
-        assert_eq!(report.cache, engine.stats());
     }
 
     /// A spec whose `build()` panics (block does not divide n), exercising
@@ -1220,7 +1111,7 @@ mod tests {
     }
 
     #[test]
-    fn faulted_jobs_bypass_the_memo_and_stay_deterministic() {
+    fn faulted_jobs_stay_deterministic() {
         let plan = predsim_faults::FaultPlan::new(
             predsim_faults::FaultSpec::parse("drop:0.4:100:6").unwrap(),
             42,
@@ -1246,11 +1137,6 @@ mod tests {
             a[0].prediction(),
             b[0].prediction(),
             "fault decisions are independent of worker count"
-        );
-        assert_eq!(
-            engine.stats().hits + engine.stats().misses,
-            0,
-            "faulted jobs must not touch the memo cache"
         );
         // And the engine path agrees with the library entry point.
         let direct = simulate_request(

@@ -1,20 +1,14 @@
 //! Property tests: the engine is a pure optimization.
 //!
-//! Whatever the worker count and whether the memo cache is on, a batch's
-//! results must be bit-identical — same predicted times, same per-step
-//! records, same per-processor step completions — to evaluating the same specs
-//! sequentially with the direct simulator (which is what
-//! `predsim_core::search::sweep` does).
+//! Whatever the worker count, a batch's results must be bit-identical —
+//! same predicted times, same per-step records, same per-processor
+//! completions — to evaluating the same specs sequentially with the direct
+//! simulator (which is what `predsim_core::search::sweep` does).
 
-use commsim::StepEnds;
 use loggp::{presets, LogGpParams, Time};
-use predsim_core::{
-    search, simulate_request, DirectStepSimulator, Prediction, SimOptions, SimRequest, StepCall,
-    StepSimulator,
-};
+use predsim_core::{search, simulate_program, Prediction, SimOptions};
 use predsim_engine::{
-    best_by_total, Engine, EngineConfig, EngineObs, JobSource, JobSpec, LayoutSpec, MemoCache,
-    MemoStepSimulator,
+    best_by_total, Engine, EngineConfig, EngineObs, JobSource, JobSpec, LayoutSpec,
 };
 use predsim_faults::{FaultPlan, FaultSpec};
 use proptest::prelude::*;
@@ -100,58 +94,11 @@ fn assert_predictions_identical(a: &Prediction, b: &Prediction, label: &str) {
     }
 }
 
-/// A [`StepSimulator`] wrapper that also records what every step
-/// committed — each processor's last operation and last receive, and the
-/// forced sends — the "same schedule per step" half of the bit-identical
-/// claim.
-struct Counting<S> {
-    inner: S,
-    steps: Vec<StepEnds>,
-    finishes: Vec<Time>,
-}
-
-impl<S> Counting<S> {
-    fn new(inner: S) -> Self {
-        Counting {
-            inner,
-            steps: Vec::new(),
-            finishes: Vec::new(),
-        }
-    }
-}
-
-impl<S: StepSimulator> StepSimulator for Counting<S> {
-    fn simulate_step(&mut self, call: &StepCall<'_>, ends: &mut StepEnds) {
-        self.inner.simulate_step(call, ends);
-        self.finishes
-            .push(ends.comm_done.iter().copied().max().unwrap_or(Time::ZERO));
-        self.steps.push(ends.clone());
-    }
-}
-
-/// [`predsim_core::simulate_program`] on a caller-supplied backend.
-fn simulate_on(
-    program: &predsim_core::Program,
-    opts: &SimOptions,
-    backend: &mut dyn StepSimulator,
-) -> Prediction {
-    simulate_request(program, opts, SimRequest::default().with_backend(backend)).prediction
-}
-
-fn same_steps(a: &[StepEnds], b: &[StepEnds]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.comm_done == y.comm_done
-                && x.last_recv_done == y.last_recv_done
-                && x.forced_sends == y.forced_sends
-        })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// N workers, with and without memo, reproduce the sequential direct
-    /// path exactly, and pick the same optimum `search::sweep` picks.
+    /// N workers reproduce the sequential direct path exactly, and pick
+    /// the same optimum `search::sweep` picks.
     #[test]
     fn engine_is_bit_identical_to_sequential_sweep(
         (kinds, mach, jobs, worst) in (
@@ -163,21 +110,22 @@ proptest! {
     ) {
         let specs = specs_for(&kinds, mach, worst);
 
-        // The reference: one thread, no memo — exactly what a plain loop
-        // over `simulate_program` computes.
-        let baseline = Engine::new(EngineConfig::default().with_jobs(1).with_memo(false)).run(&specs);
+        // The reference: a plain loop over `simulate_program`.
+        let reference: Vec<Prediction> = specs
+            .iter()
+            .map(|s| simulate_program(&s.source.build(), &s.opts))
+            .collect();
+        let baseline = Engine::sequential().run(&specs);
+        let parallel = Engine::new(EngineConfig::default().with_jobs(jobs)).run(&specs);
 
-        for memo in [false, true] {
-            let engine = Engine::new(EngineConfig::default().with_jobs(jobs).with_memo(memo));
-            let results = engine.run(&specs);
-            prop_assert_eq!(results.len(), baseline.len());
-            for (r, b) in results.iter().zip(&baseline) {
-                prop_assert_eq!(r.index, b.index);
-                prop_assert_eq!(&r.label, &b.label);
+        for (engine_jobs, results) in [(1, &baseline), (jobs, &parallel)] {
+            prop_assert_eq!(results.len(), reference.len());
+            for ((r, spec), expect) in results.iter().zip(&specs).zip(&reference) {
+                prop_assert_eq!(&r.label, &spec.label);
                 assert_predictions_identical(
                     r.prediction(),
-                    b.prediction(),
-                    &format!("jobs={jobs} memo={memo} {}", r.label),
+                    expect,
+                    &format!("jobs={engine_jobs} {}", r.label),
                 );
             }
         }
@@ -189,42 +137,6 @@ proptest! {
         let engine_best = best_by_total(&baseline).unwrap();
         prop_assert_eq!(sweep.best, engine_best);
         prop_assert_eq!(sweep.best_time, baseline[engine_best].prediction().total);
-    }
-
-    /// The memoizing step simulator commits the same schedule ends (every
-    /// processor's completion and last receive, forced sends, per-step
-    /// finish times) as the direct one, even when many lookups hit the
-    /// cache.
-    #[test]
-    fn memo_preserves_step_ends(
-        (kind, param, mach, worst) in (0usize..3, 0usize..64, 0usize..5, proptest::bool::ANY)
-    ) {
-        let source = source_for(kind, param);
-        let mut opts = SimOptions::new(commsim::SimConfig::new(machine_for(mach, source.procs())));
-        if worst {
-            opts = opts.worst_case();
-        }
-        let program = source.build();
-
-        let mut direct = Counting::new(DirectStepSimulator::new());
-        let direct_pred = simulate_on(&program, &opts, &mut direct);
-
-        let cache = MemoCache::new(4, 1024);
-        let mut memo = Counting::new(MemoStepSimulator::new(&cache));
-        let memo_pred = simulate_on(&program, &opts, &mut memo);
-
-        assert_predictions_identical(&direct_pred, &memo_pred, "memo vs direct");
-        prop_assert!(same_steps(&direct.steps, &memo.steps), "per-step schedule ends differ");
-        prop_assert_eq!(direct.finishes, memo.finishes, "per-step finish times differ");
-
-        // Re-running the same program is answered largely from the cache
-        // and still identical.
-        let mut warm = Counting::new(MemoStepSimulator::new(&cache));
-        let warm_pred = simulate_on(&program, &opts, &mut warm);
-        assert_predictions_identical(&direct_pred, &warm_pred, "warm memo vs direct");
-        prop_assert!(same_steps(&direct.steps, &warm.steps));
-        let stats = cache.stats();
-        prop_assert!(stats.hits >= stats.misses, "second run must hit: {:?}", stats);
     }
 
     /// Tracing and metrics are purely observational: an engine with a
@@ -241,8 +153,7 @@ proptest! {
         )
     ) {
         let specs = specs_for(&kinds, mach, worst);
-        let baseline =
-            Engine::new(EngineConfig::default().with_jobs(1).with_memo(false)).run(&specs);
+        let baseline = Engine::sequential().run(&specs);
 
         let sink = Arc::new(predsim_obs::MemorySink::new());
         let obs = EngineObs::new().with_sink(sink.clone());
@@ -264,11 +175,6 @@ proptest! {
         prop_assert_eq!(count("job_start"), specs.len());
         prop_assert_eq!(count("job_finish"), specs.len());
         prop_assert_eq!(count("worker_assign"), specs.len());
-        // Memo events account for every cache lookup the run made.
-        prop_assert_eq!(
-            (count("memo_hit") as u64, count("memo_miss") as u64),
-            (report.cache.hits, report.cache.misses)
-        );
         prop_assert_eq!(
             report.metrics.scalar("engine_jobs_total", &[]),
             Some(specs.len() as u64)

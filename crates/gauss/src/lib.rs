@@ -14,7 +14,7 @@
 //! [`predsim_core::Program`] the predictor consumes.
 //!
 //! [`parallel::factorize`] executes the same schedule with real `f64`
-//! arithmetic on real threads (crossbeam channels carrying blocks), and is
+//! arithmetic on real threads (std channels carrying blocks), and is
 //! checked against the sequential reference — this is the repo's substitute
 //! for the paper's Split-C implementation on the Meiko CS-2.
 

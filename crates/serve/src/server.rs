@@ -18,8 +18,7 @@
 //! ```
 //!
 //! Every full prediction goes through the one shared [`Engine`], so the
-//! memo cache, journal, and metrics registry see the server's whole
-//! lifetime.
+//! journal and metrics registry see the server's whole lifetime.
 //!
 //! **Overload behaviour** is tiered rather than binary. Above a
 //! high-watermark queue depth `/v1/predict` stops queueing and degrades:
@@ -484,8 +483,7 @@ impl ServerHandle {
         self.supervisor.join().expect("supervisor panicked");
         self.shared.sync_gauges();
         DrainReport {
-            // Engine::metrics_snapshot also publishes the final cache
-            // gauges and flushes any trace sink.
+            // Engine::metrics_snapshot also flushes any trace sink.
             metrics: self.shared.engine.metrics_snapshot(),
         }
     }
@@ -760,7 +758,7 @@ fn fill_crashed(job: Job) {
 }
 
 /// Execute one calibration on a worker: emulate the source, fit a
-/// preset on the shared engine (reusing its memo cache), publish the
+/// preset on the shared engine, publish the
 /// `calib_*` metrics, and register the preset when asked to. Panics
 /// anywhere inside become an `Err`, not a dead worker.
 fn run_calibration(shared: &Shared, request: &api::CalibrateRequest) -> CalibrationOutcome {
@@ -946,9 +944,7 @@ fn route(request: &Request, shared: &Shared) -> (&'static str, Response) {
     }
 }
 
-/// A metrics snapshot with the serve gauges freshly synced. Goes through
-/// [`Engine::metrics_snapshot`] so the engine's cache gauges are fresh
-/// too.
+/// A metrics snapshot with the serve gauges freshly synced.
 fn snapshot(shared: &Shared) -> MetricsSnapshot {
     shared.sync_gauges();
     shared.engine.metrics_snapshot()

@@ -9,8 +9,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 /// A prediction heavy enough (~2 s debug) to hold a worker while the
-/// test lines up more requests behind it. Distinct sizes per index so
-/// the engine's memo cache cannot short-circuit repeated submissions.
+/// test lines up more requests behind it. Distinct sizes per index, so
+/// no two submissions are the same job.
 fn heavy(i: usize) -> String {
     let n = 3840 - 120 * i;
     format!(r#"{{"source":"ge:{n},24,diagonal,8"}}"#)
@@ -358,7 +358,7 @@ fn a_hopeless_deadline_gets_an_instant_static_answer_and_sheds_a_victim() {
 
     // Seed the cost model: two completed predicts teach it the
     // wall-per-virtual-ps ratio and the mean job cost (~2 s per heavy
-    // job). Distinct jobs, so neither is a memo-cache hit.
+    // job).
     for i in 0..2 {
         let (status, _) = predict(addr, &heavy(i));
         assert_eq!(status, 200);

@@ -4,17 +4,21 @@
 use predsim_engine::{Engine, EngineConfig};
 use predsim_lint::json::{self, Value};
 use predsim_lint::Report;
-use predsim_serve::{api, ServeConfig, Server, ServerHandle};
+use predsim_serve::{api, ChaosPlan, ChaosSpec, ServeConfig, Server, ServerHandle};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-/// A prediction heavy enough (~2 s debug) to still be running while the
-/// test lines up more requests behind it.
-const HEAVY: &str = r#"{"source":"ge:3840,24,diagonal,8"}"#;
+/// A cheap prediction: its lint gate and simulation take milliseconds.
+const CHEAP: &str = r#"{"source":"ge:240,24,diagonal,8"}"#;
 
-fn start(workers: usize, queue_cap: usize) -> ServerHandle {
-    Server::start(ServeConfig {
+/// How long a worker of [`start_holding`] stalls on every job it picks
+/// up: far longer than the few cheap requests and polls a test issues
+/// while the worker is held.
+const HOLD_MS: u64 = 3000;
+
+fn config(workers: usize, queue_cap: usize) -> ServeConfig {
+    ServeConfig {
         workers,
         queue_cap,
         request_timeout: Duration::from_secs(10),
@@ -23,6 +27,21 @@ fn start(workers: usize, queue_cap: usize) -> ServerHandle {
         replay_at: Some(usize::MAX),
         static_at: Some(usize::MAX),
         ..ServeConfig::default()
+    }
+}
+
+fn start(workers: usize, queue_cap: usize) -> ServerHandle {
+    Server::start(config(workers, queue_cap)).expect("server starts")
+}
+
+/// A server whose workers stall [`HOLD_MS`] on every job they pick up
+/// (deterministic chaos: a stall at rate 1), so a job stays in flight
+/// for a known time however fast the build simulates it.
+fn start_holding(workers: usize, queue_cap: usize) -> ServerHandle {
+    let spec = ChaosSpec::parse(&format!("stall:1:{HOLD_MS}")).unwrap();
+    Server::start(ServeConfig {
+        chaos: Some(ChaosPlan::new(spec, 1)),
+        ..config(workers, queue_cap)
     })
     .expect("server starts")
 }
@@ -171,14 +190,14 @@ fn concurrent_predictions_are_byte_identical_to_the_engine() {
 
 #[test]
 fn queue_overflow_sheds_with_429_without_dropping_admitted_work() {
-    let handle = start(1, 1);
+    let handle = start_holding(1, 1);
     let addr = handle.addr();
 
-    // R1 occupies the single worker...
-    let r1 = std::thread::spawn(move || predict(addr, HEAVY));
+    // R1 occupies the single (stalled) worker...
+    let r1 = std::thread::spawn(move || predict(addr, CHEAP));
     wait_until(8000, || health(addr).1 >= 1);
     // ...R2 occupies the single queue slot...
-    let r2 = std::thread::spawn(move || predict(addr, HEAVY));
+    let r2 = std::thread::spawn(move || predict(addr, CHEAP));
     wait_until(8000, || {
         let (depth, executing) = health(addr);
         depth >= 1 && executing >= 1
@@ -328,7 +347,7 @@ fn metrics_are_exposed_in_prometheus_text_and_strict_json() {
         "# TYPE serve_queue_depth gauge",
         "serve_request_wall_ns_bucket",
         "engine_jobs_total",
-        "engine_cache_hits",
+        "engine_phase_simulate_ns",
     ] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
     }
@@ -519,11 +538,12 @@ fn calibrate_endpoint_fits_registers_and_serves_the_preset() {
 
 #[test]
 fn drain_finishes_in_flight_work_and_counts_every_request() {
-    let handle = start(1, 4);
+    let handle = start_holding(1, 4);
     let addr = handle.addr();
 
-    // A request is mid-execution when the drain arrives.
-    let in_flight = std::thread::spawn(move || predict(addr, HEAVY));
+    // A request is mid-execution (its worker stalled) when the drain
+    // arrives.
+    let in_flight = std::thread::spawn(move || predict(addr, CHEAP));
     wait_until(8000, || health(addr).1 >= 1);
 
     let (status, _, body) = request(addr, "POST", "/admin/drain", "");

@@ -85,7 +85,7 @@ USAGE:
       prediction.
 
   predsim ge-sweep [--n N] [--procs P] [--machine NAME] [--layout L] [--blocks A,B,...]
-                   [--prefilter] [--jobs N] [--no-memo] [--faults SPEC] [--seed N]
+                   [--prefilter] [--jobs N] [--faults SPEC] [--seed N]
                    [--job-budget STEPS] [--retries K]
                    [--checkpoint FILE | --resume FILE]
                    [--results-out FILE] [--metrics-out FILE]
@@ -145,7 +145,7 @@ USAGE:
       >= 50% efficiency. DAG and --machine are as for 'dag run'. --json
       emits the strict-JSON report, byte-identical to POST /v1/speedup.
 
-  predsim batch SOURCE... [--machine NAME[,NAME...]] [--jobs N] [--no-memo]
+  predsim batch SOURCE... [--machine NAME[,NAME...]] [--jobs N]
                 [--worst-case] [--barrier] [--overlap] [--classic-gap]
                 [--faults SPEC] [--seed N] [--job-budget STEPS] [--retries K]
                 [--checkpoint FILE | --resume FILE]
@@ -162,9 +162,8 @@ USAGE:
                                      reduce+broadcast (or hypercube exchange)
         dag:GENSPEC:PROCS            task DAG ('dag gen' SPEC), HEFT-scheduled
       Jobs are pre-validated with the analyzer (invalid specs are
-      rejected with diagnostics). Prints one row per job plus memo-cache
-      statistics; --metrics-out writes the engine's metrics in
-      Prometheus format. --faults injects the seeded fault plan into
+      rejected with diagnostics). Prints one row per job; --metrics-out
+      writes the engine's metrics in Prometheus format. --faults injects the seeded fault plan into
       every job; --job-budget caps each job's simulated steps (over
       budget: timed_out); --retries re-runs crashed or over-budget jobs
       up to K extra times; --checkpoint appends every finished job to a
@@ -174,7 +173,7 @@ USAGE:
       run. --results-out writes the results table to a file.
 
   predsim serve [--addr HOST:PORT] [--workers N] [--queue-cap N]
-                [--request-timeout SECS] [--no-memo] [--job-budget STEPS]
+                [--request-timeout SECS] [--job-budget STEPS]
                 [--retries K] [--checkpoint FILE] [--metrics-out FILE]
                 [--presets FILE] [--replay-at N] [--static-at N]
                 [--stall-timeout MS] [--chaos SPEC] [--chaos-seed N]
@@ -269,9 +268,8 @@ const SIM_FLAGS: [FlagSpec; 5] = [
 
 /// Flags shared by the batch-engine commands (`batch`, `ge-sweep`):
 /// parallelism, fault injection, and resilience.
-const BATCH_FLAGS: [FlagSpec; 10] = [
+const BATCH_FLAGS: [FlagSpec; 9] = [
     valued("jobs"),
-    switch("no-memo"),
     valued("faults"),
     valued("seed"),
     valued("job-budget"),
@@ -352,11 +350,9 @@ fn fault_plan(args: &Args) -> Result<Option<FaultPlan>, String> {
 }
 
 /// Build the engine configuration from the shared batch flags
-/// (`--jobs`, `--no-memo`, `--job-budget`, `--retries`).
+/// (`--jobs`, `--job-budget`, `--retries`).
 fn engine_config(args: &Args) -> Result<EngineConfig, String> {
-    let mut cfg = EngineConfig::default()
-        .with_jobs(args.jobs()?)
-        .with_memo(!args.flag("no-memo"));
+    let mut cfg = EngineConfig::default().with_jobs(args.jobs()?);
     if let Some(v) = args.value("job-budget") {
         let steps: usize = v.parse().map_err(|e| format!("bad --job-budget: {e}"))?;
         if steps == 0 {
@@ -502,8 +498,8 @@ fn cmd_gantt(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Write the engine's Prometheus metrics (including the `engine_cache_*`
-/// gauges) to `file` when `--metrics-out` was given.
+/// Write the engine's Prometheus metrics to `file` when `--metrics-out`
+/// was given.
 fn write_engine_metrics(args: &Args, engine: &Engine) -> Result<(), String> {
     if let Some(file) = args.value("metrics-out") {
         std::fs::write(file, engine.metrics_snapshot().to_prometheus())
@@ -734,8 +730,7 @@ fn cmd_ge_sweep(args: &Args) -> Result<(), String> {
 /// static ceiling (most promising first), run them one at a time, and skip
 /// every candidate whose static floor already exceeds the best observed
 /// total — its simulation cannot win. Sequential on purpose: each result
-/// tightens the pruning threshold for the next candidate, and the memo
-/// cache still carries over between runs (one engine).
+/// tightens the pruning threshold for the next candidate.
 fn ge_sweep_prefiltered(
     args: &Args,
     engine: &Engine,
@@ -1285,16 +1280,6 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
         results.len(),
         engine.config().effective_jobs()
     );
-    let stats = engine.stats();
-    if engine.config().memo {
-        println!(
-            "memo cache: {} hits / {} misses ({:.0}% hit rate), {} evictions",
-            stats.hits,
-            stats.misses,
-            100.0 * stats.hit_rate(),
-            stats.evictions
-        );
-    }
     report_results(args, &results, plan.as_ref())?;
     write_engine_metrics(args, &engine)?;
     Ok(())
@@ -1746,7 +1731,6 @@ fn run() -> Result<ExitCode, String> {
             valued("workers"),
             valued("queue-cap"),
             valued("request-timeout"),
-            switch("no-memo"),
             valued("job-budget"),
             valued("retries"),
             valued("checkpoint"),

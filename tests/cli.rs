@@ -437,7 +437,7 @@ fn ge_sweep_and_batch_export_prometheus_metrics() {
     let prom = std::fs::read_to_string(&sweep_prom).unwrap();
     assert!(prom.contains("# TYPE engine_jobs_total counter"), "{prom}");
     assert!(prom.contains("engine_jobs_total 2"), "{prom}");
-    assert!(prom.contains("engine_cache_hits"), "{prom}");
+    assert!(prom.contains("engine_phase_simulate_ns"), "{prom}");
 
     let batch_prom = tmp_file("batch.prom", "");
     let out = bin()
