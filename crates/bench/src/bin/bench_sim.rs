@@ -32,6 +32,12 @@
 //!     refuse re-timing carry ~93% of the messages — so their cost is
 //!     dominated by honest per-step fallback to full simulation.
 //!
+//! * **P scaling** — standard and worst-case ns per message on the
+//!   stencil (N = 4P, 16 iterations, meiko) at P = 64, 256 and 1024. A
+//!   halo exchange is a chain of 2-cycles, so the worst-case algorithm
+//!   forces about one send per round; its per-message cost must not grow
+//!   with P (asserted: P = 1024 within 2x of P = 64).
+//!
 //! Writes `BENCH_SIM.json` (strict JSON, integer nanoseconds, ratios
 //! as x100 integers) and prints the numbers as a table.
 //!
@@ -43,7 +49,9 @@
 //! `--check` re-measures and compares the machine-independent *ratios*
 //! (speedups, incremental cost fraction) against the recorded baseline,
 //! failing on a >20% regression — absolute nanoseconds vary across
-//! hosts, the ratios should not.
+//! hosts, the ratios should not. It also fails when the freshly measured
+//! worst-case ns/msg at the largest P exceeds 2x its value at the
+//! smallest.
 
 use commsim::StepEnds;
 use predsim_core::{
@@ -66,6 +74,12 @@ const WORKLOADS: [(&str, &str, u32); 4] = [
     ("cannon", "cannon:240,4", 8),
     ("apsp", "apsp:240,24,diagonal,8", 4),
 ];
+
+/// Processor counts of the P-scaling rows (stencil N = 4P, 16 iterations).
+const SCALING_PROCS: [usize; 3] = [64, 256, 1024];
+/// The worst-case ns/msg at the largest P may be at most this multiple of
+/// its value at the smallest.
+const SCALING_LIMIT: f64 = 2.0;
 
 /// Machine presets swept by the incremental-replay measurement; the first
 /// is the recording preset.
@@ -198,6 +212,53 @@ fn measure_row(prefix: &'static str, source: &'static str, iters: u32) -> Row {
         reference_pair,
         speedup: reference_pair.as_nanos() as f64 / new_pair.as_nanos() as f64,
     }
+}
+
+/// One P-scaling row: per-message cost of each algorithm on one stencil.
+struct ScalingRow {
+    procs: usize,
+    source: String,
+    messages: usize,
+    std_ns_per_msg: f64,
+    wc_ns_per_msg: f64,
+}
+
+fn measure_scaling(procs: usize) -> ScalingRow {
+    let source = format!("stencil:{},{procs},16", 4 * procs);
+    let program = build(&source);
+    let messages: usize = program
+        .steps()
+        .iter()
+        .map(|s| s.comm.messages().len())
+        .sum();
+    let per_msg = |worst_case: bool| {
+        let opts = opts_for("meiko", procs, worst_case);
+        let t = wall(4, || {
+            std::hint::black_box(simulate_program(&program, &opts));
+        });
+        t.as_nanos() as f64 / messages as f64
+    };
+    ScalingRow {
+        procs,
+        messages,
+        std_ns_per_msg: per_msg(false),
+        wc_ns_per_msg: per_msg(true),
+        source,
+    }
+}
+
+/// The P-scaling rule: worst-case ns/msg at the largest P within
+/// [`SCALING_LIMIT`] times its value at the smallest.
+fn scaling_failure(rows: &[ScalingRow]) -> Option<String> {
+    let (first, last) = (rows.first()?, rows.last()?);
+    let growth = last.wc_ns_per_msg / first.wc_ns_per_msg;
+    (growth > SCALING_LIMIT).then(|| {
+        format!(
+            "worst-case stencil costs {:.0} ns/msg at P = {} against {:.0} at P = {} \
+             ({growth:.2}x, limit {SCALING_LIMIT}x)",
+            last.wc_ns_per_msg, last.procs, first.wc_ns_per_msg, first.procs
+        )
+    })
 }
 
 /// One machine-preset sweep point, reported transparently (no assert on
@@ -377,7 +438,7 @@ fn measure_sweep() -> Sweep {
     }
 }
 
-fn check(rows: &[Row], sweep: &Sweep) -> Result<(), String> {
+fn check(rows: &[Row], sweep: &Sweep, scaling: &[ScalingRow]) -> Result<(), String> {
     let text = std::fs::read_to_string(BASELINE)
         .map_err(|e| format!("--check needs a recorded {BASELINE}: {e}"))?;
     let doc = json::parse(&text).map_err(|e| format!("{BASELINE}: {e}"))?;
@@ -412,9 +473,11 @@ fn check(rows: &[Row], sweep: &Sweep) -> Result<(), String> {
             recorded * 100.0
         ));
     }
+    failures.extend(scaling_failure(scaling));
     if failures.is_empty() {
         println!(
-            "check passed: all ratios within {:.0}% of {BASELINE}",
+            "check passed: all ratios within {:.0}% of {BASELINE}, worst-case ns/msg \
+             within {SCALING_LIMIT}x across P",
             TOLERANCE * 100.0
         );
         Ok(())
@@ -468,8 +531,22 @@ fn main() {
         "worst-case (all presets)", sweep.wc_point, sweep.wc_sim_point
     );
 
+    println!();
+    println!("== P scaling: stencil N = 4P, 16 iterations, meiko (ns per message) ==");
+    let scaling: Vec<ScalingRow> = SCALING_PROCS
+        .iter()
+        .map(|&procs| {
+            let row = measure_scaling(procs);
+            println!(
+                "{:>28}: {:>6} msgs  standard {:>7.0} ns/msg  worst-case {:>7.0} ns/msg",
+                row.source, row.messages, row.std_ns_per_msg, row.wc_ns_per_msg
+            );
+            row
+        })
+        .collect();
+
     if check_mode {
-        if let Err(e) = check(&rows, &sweep) {
+        if let Err(e) = check(&rows, &sweep, &scaling) {
             eprintln!("bench_sim --check failed:\n{e}");
             std::process::exit(1);
         }
@@ -499,6 +576,9 @@ fn main() {
         sweep.family_replayed,
         sweep.family_total
     );
+    if let Some(failure) = scaling_failure(&scaling) {
+        panic!("{failure}");
+    }
 
     let ns = |d: Duration| Value::Int(d.as_nanos().min(i64::MAX as u128) as i64);
     let x100 = |r: f64| Value::Int((r * 100.0) as i64);
@@ -553,6 +633,19 @@ fn main() {
     }
     fields.push(("ge_wc_incremental_point_ns".into(), ns(sweep.wc_point)));
     fields.push(("ge_wc_full_point_ns".into(), ns(sweep.wc_sim_point)));
+    for row in &scaling {
+        let p = format!("stencil_p{}", row.procs);
+        fields.push((format!("{p}_source"), Value::Str(row.source.clone())));
+        fields.push((format!("{p}_messages"), Value::Int(row.messages as i64)));
+        fields.push((
+            format!("{p}_std_ns_per_msg"),
+            Value::Int(row.std_ns_per_msg.round() as i64),
+        ));
+        fields.push((
+            format!("{p}_wc_ns_per_msg"),
+            Value::Int(row.wc_ns_per_msg.round() as i64),
+        ));
+    }
     let doc = Value::Object(fields);
     std::fs::write(BASELINE, doc.to_pretty() + "\n").expect("write BENCH_SIM.json");
     println!();

@@ -348,21 +348,18 @@ impl Recording {
         let rule = cfg.gap_rule;
         let procs = self.procs;
         scratch.begin_retime(ready, &self.q_start, self.msgs, procs);
-        if scratch.inboxes.len() < procs {
-            scratch.inboxes.resize_with(procs, Vec::new);
-        }
-        for inbox in &mut scratch.inboxes[..procs] {
-            inbox.clear();
-        }
+        scratch.reset_inboxes(procs);
         out.reset(ready);
 
+        let mut sent = 0usize;
         for &op in &self.ops {
             if op == u32::MAX {
-                // Round boundary: drain every inbox, timeline-free.
-                for p in 0..procs {
-                    if scratch.inboxes[p].is_empty() {
-                        continue;
-                    }
+                // Round boundary: drain the inboxes that received mail,
+                // timeline-free. Each processor's receives touch only its
+                // own clock and maxima, so the visiting order is free.
+                let mut dirty = std::mem::take(&mut scratch.dirty);
+                for &d in &dirty {
+                    let p = d as usize;
                     let mut inbox = std::mem::take(&mut scratch.inboxes[p]);
                     inbox.sort_unstable();
                     for &inflight in &inbox {
@@ -376,6 +373,8 @@ impl Recording {
                     inbox.clear();
                     scratch.inboxes[p] = inbox;
                 }
+                dirty.clear();
+                scratch.dirty = dirty;
                 continue;
             }
             let p = (op >> 1) as usize;
@@ -385,21 +384,27 @@ impl Recording {
             }
             let slot = scratch.rt_cursor[p];
             scratch.rt_cursor[p] += 1;
+            sent += 1;
             let msg = self.arena[slot as usize];
             let start = scratch.clocks[p].ready_at_kind(params, rule, OpKind::Send);
             let end = scratch.clocks[p].commit_kind(params, rule, OpKind::Send, start);
             out.comm_done[p] = out.comm_done[p].max(end);
             let arrival = params.arrival_time(start, msg.bytes);
-            scratch.inboxes[msg.dst].push(InFlight {
-                arrival,
-                id: msg.id as u32,
-                slot,
-            });
+            scratch.deliver(
+                msg.dst,
+                InFlight {
+                    arrival,
+                    id: msg.id as u32,
+                    slot,
+                },
+            );
             if forced {
                 out.forced_sends += 1;
             }
         }
-        (0..procs).all(|p| scratch.rt_cursor[p] >= self.q_end[p])
+        // Every op took a distinct message within its sender's range, so
+        // all were sent iff the count matches.
+        sent == self.msgs
     }
 }
 

@@ -1,5 +1,6 @@
 //! Reusable simulation state: flat per-processor buffers, the arena-backed
-//! send queues, and the indexed min-time frontier.
+//! send queues, the indexed min-time frontier, and the worst-case
+//! algorithm's order-statistic set of senders.
 //!
 //! The hot loops in [`crate::standard`] and [`crate::worstcase`] keep all
 //! their per-processor state in a [`SimScratch`]: plain parallel `Vec`s
@@ -18,6 +19,11 @@
 //! Entries pop in ascending `(time, proc)` order, which makes the heap
 //! order reproduce the reference implementation's lowest-id tie-break
 //! exactly.
+//!
+//! The [`SenderSet`] replaces the worst-case algorithm's per-deadlock O(P)
+//! collection of blocked processors with a Fenwick tree over "still has
+//! sends": the k-th blocked processor in ascending order is an O(log P)
+//! descent, so a deadlock round draws its victim without a scan.
 
 use crate::pattern::{CommPattern, Message};
 use loggp::{ProcClock, Time};
@@ -131,6 +137,82 @@ impl Frontier {
     }
 }
 
+/// Order-statistic set over processor ids `0..procs` (a Fenwick tree of
+/// 0/1 counts): the worst-case algorithm's processors that still have
+/// sends. [`SenderSet::kth`] returns the k-th member in ascending order —
+/// the element a draw over the ascending member list would pick — in
+/// O(log P), and removal is O(log P).
+#[derive(Debug, Default)]
+pub(crate) struct SenderSet {
+    /// 1-based Fenwick array: `tree[i]` counts the members in
+    /// `(i - lowbit(i), i]` (1-based ids).
+    tree: Vec<u32>,
+    len: usize,
+}
+
+impl SenderSet {
+    /// Rebuild over `procs` ids with membership `member(p)`, in O(P).
+    pub(crate) fn reset(&mut self, procs: usize, member: impl Fn(usize) -> bool) {
+        self.tree.clear();
+        self.tree.push(0);
+        self.tree.extend((0..procs).map(|p| member(p) as u32));
+        self.len = self.tree.iter().map(|&c| c as usize).sum();
+        for i in 1..=procs {
+            let parent = i + (i & i.wrapping_neg());
+            if parent <= procs {
+                self.tree[parent] += self.tree[i];
+            }
+        }
+    }
+
+    /// Number of members.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Remove member `p` (which must be present).
+    pub(crate) fn remove(&mut self, p: usize) {
+        debug_assert!(self.contains(p), "removing a non-member");
+        self.len -= 1;
+        let mut i = p + 1;
+        while i < self.tree.len() {
+            self.tree[i] -= 1;
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// The `k`-th member (0-based) in ascending order; `k < len()`.
+    pub(crate) fn kth(&self, mut k: usize) -> usize {
+        debug_assert!(k < self.len);
+        let n = self.tree.len() - 1;
+        let mut pos = 0usize;
+        let mut step = if n == 0 { 0 } else { 1 << n.ilog2() };
+        while step > 0 {
+            let next = pos + step;
+            if next <= n && (self.tree[next] as usize) <= k {
+                pos = next;
+                k -= self.tree[next] as usize;
+            }
+            step >>= 1;
+        }
+        pos // 1-based `pos + 1` is the member; as a 0-based id that is `pos`
+    }
+
+    /// Is `p` currently a member? (O(log P); debug checks only.)
+    fn contains(&self, p: usize) -> bool {
+        let prefix = |mut i: usize| {
+            let mut sum = 0u32;
+            while i > 0 {
+                sum += self.tree[i];
+                i -= i & i.wrapping_neg();
+            }
+            sum
+        };
+        prefix(p + 1) > prefix(p)
+    }
+}
+
 const PLACEHOLDER: Message = Message {
     id: 0,
     src: 0,
@@ -167,6 +249,14 @@ pub struct SimScratch {
     pub(crate) inboxes: Vec<Vec<InFlight>>,
     /// Worst-case algorithm: remaining receives before a processor may send.
     pub(crate) to_recv: Vec<u32>,
+    /// Worst-case algorithm and its retime: processors whose inbox went
+    /// from empty to non-empty since the last drain.
+    pub(crate) dirty: Vec<u32>,
+    /// Worst-case algorithm: the processors that send in the next round
+    /// (receive counter at zero, sends left), in ascending order.
+    pub(crate) ready: Vec<u32>,
+    /// Worst-case algorithm: the processors that still have sends.
+    pub(crate) senders: SenderSet,
     /// Retime: per-processor cursor into the recording's arena snapshot.
     pub(crate) rt_cursor: Vec<u32>,
     /// Retime: per-message "send committed" flags and arrival times
@@ -243,22 +333,48 @@ impl SimScratch {
         self.frontier.reset(procs);
     }
 
-    /// [`SimScratch::begin`] plus the worst-case algorithm's inboxes and
-    /// receive counters.
+    /// [`SimScratch::begin`] plus the worst-case algorithm's inboxes,
+    /// receive counters, first-round senders and sender set.
     pub(crate) fn begin_worstcase(&mut self, pattern: &CommPattern, ready: &[Time]) {
         self.begin(pattern, ready);
         let procs = pattern.procs();
+        self.reset_inboxes(procs);
+        self.to_recv.clear();
+        self.to_recv.resize(procs, 0);
+        for m in pattern.network_messages() {
+            self.to_recv[m.dst] += 1;
+        }
+        self.ready.clear();
+        for p in 0..procs {
+            if self.to_recv[p] == 0 && self.has_sends(p) {
+                self.ready.push(p as u32);
+            }
+        }
+        let (q_start, q_end) = (&self.q_start, &self.q_end);
+        self.senders.reset(procs, |p| q_start[p] < q_end[p]);
+    }
+
+    /// Empty the first `procs` worst-case inboxes (keeping their buffers)
+    /// and the dirty list.
+    pub(crate) fn reset_inboxes(&mut self, procs: usize) {
         if self.inboxes.len() < procs {
             self.inboxes.resize_with(procs, Vec::new);
         }
         for inbox in &mut self.inboxes[..procs] {
             inbox.clear();
         }
-        self.to_recv.clear();
-        self.to_recv.resize(procs, 0);
-        for m in pattern.network_messages() {
-            self.to_recv[m.dst] += 1;
+        self.dirty.clear();
+    }
+
+    /// Deliver `inflight` to processor `dst`'s worst-case inbox, noting
+    /// the inbox as dirty if it was empty.
+    #[inline]
+    pub(crate) fn deliver(&mut self, dst: usize, inflight: InFlight) {
+        let inbox = &mut self.inboxes[dst];
+        if inbox.is_empty() {
+            self.dirty.push(dst as u32);
         }
+        inbox.push(inflight);
     }
 
     /// Reset state for [`crate::replay`]'s timeline-free re-timing: clocks
@@ -392,5 +508,52 @@ mod tests {
         let (t, p) = f.pop_min().unwrap();
         assert_eq!((t, p), (Time::from_us(8.0), 0));
         assert!(f.pop_min().is_none());
+    }
+
+    /// Checks every `kth` answer and `len` against a linear scan of the
+    /// membership flags.
+    fn assert_matches_scan(set: &SenderSet, member: &[bool]) {
+        let members: Vec<usize> = (0..member.len()).filter(|&p| member[p]).collect();
+        assert_eq!(set.len(), members.len());
+        for (k, &p) in members.iter().enumerate() {
+            assert_eq!(set.kth(k), p, "k = {k} of {members:?}");
+        }
+    }
+
+    #[test]
+    fn sender_set_kth_matches_a_linear_scan_while_emptied_in_any_order() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut set = SenderSet::default();
+        for procs in [1usize, 2, 3, 7, 8, 64, 257, 1000] {
+            for _ in 0..3 {
+                let mut member: Vec<bool> = (0..procs).map(|_| rng.gen_range(0..4) != 0).collect();
+                set.reset(procs, |p| member[p]);
+                assert_matches_scan(&set, &member);
+                // Empty it in a random order, checking after every removal.
+                let mut order: Vec<usize> = (0..procs).filter(|&p| member[p]).collect();
+                while !order.is_empty() {
+                    let p = order.swap_remove(rng.gen_range(0..order.len()));
+                    set.remove(p);
+                    member[p] = false;
+                    assert_matches_scan(&set, &member);
+                }
+                assert_eq!(set.len(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn sender_set_single_processor() {
+        let mut set = SenderSet::default();
+        set.reset(1, |_| true);
+        assert_eq!((set.len(), set.kth(0)), (1, 0));
+        set.remove(0);
+        assert_eq!(set.len(), 0);
+        set.reset(1, |_| false);
+        assert_eq!(set.len(), 0);
+        set.reset(0, |_| true);
+        assert_eq!(set.len(), 0);
     }
 }

@@ -23,12 +23,31 @@
 //! Like [`crate::standard`], the loop runs on flat [`SimScratch`] state
 //! (arena-cursor send queues, reused inbox buffers, a receive-counter
 //! array) and is pinned bit-identical to the straightforward encoding in
-//! [`crate::reference`] by `tests/equiv.rs`. Because part 2 of every round
-//! fully drains the inboxes, the round structure — which processors send in
-//! which round, and where deadlocks are broken — depends only on the
-//! pattern, never on the LogGP parameters; [`crate::replay`] exploits that
-//! to re-time a recorded run under new parameters without re-running the
-//! selection logic.
+//! [`crate::reference`] by `tests/equiv.rs`. That encoding scans every
+//! processor two or three times per round; on a cyclic pattern that forces
+//! one send per round (a stencil's halo exchange), that is O(P) per
+//! message. Here a round costs O(active · log P):
+//!
+//! - **Ready worklist.** The processors that send in the next round are
+//!   collected as they become eligible: at the start, those expecting no
+//!   receives; during each drain, every processor whose receive counter
+//!   reaches zero while it still has sends. The drain visits destinations
+//!   in ascending order, so the list is ascending, as the reference scan's.
+//! - **Dirty inboxes.** Each send notes a destination whose inbox goes
+//!   from empty to non-empty; the drain sorts those and visits only them,
+//!   so receive events land on the timeline in the reference order.
+//! - **Victim draw.** A Fenwick tree over "still has sends"
+//!   (`SenderSet` in the scratch module) yields the k-th such processor in
+//!   ascending order. The draw `gen_range(0..count)` and the ascending
+//!   order are exactly those of the reference loop's blocked list, so the
+//!   RNG stream and the forced sends are unchanged.
+//!
+//! Because part 2 of every round fully drains the inboxes, the round
+//! structure — which processors send in which round, and where deadlocks
+//! are broken — depends only on the pattern, never on the LogGP
+//! parameters; [`crate::replay`] exploits that to re-time a recorded run
+//! under new parameters without re-running the selection logic, draining
+//! the same dirty list at each round boundary.
 
 use crate::faults::{transmit, StepFaults};
 use crate::observe::StepTracer;
@@ -81,27 +100,35 @@ fn wc_send(
     // returning < send_start + o is lifted to the earliest sound arrival,
     // in release builds too.
     let arrival = arrival_of(&msg, final_start).max(final_start + params.overhead);
-    scratch.inboxes[msg.dst].push(InFlight {
-        arrival,
-        id: msg.id as u32,
-        slot,
-    });
+    scratch.deliver(
+        msg.dst,
+        InFlight {
+            arrival,
+            id: msg.id as u32,
+            slot,
+        },
+    );
+    if !scratch.has_sends(p) {
+        scratch.senders.remove(p);
+    }
 }
 
-/// Part 2 of a round: every destination receives the messages delivered so
-/// far, in `(arrival, msg.id)` order.
+/// Part 2 of a round: every destination that received mail this round
+/// receives it, in `(arrival, msg.id)` order. Destinations are visited in
+/// ascending order (as a full sweep would), and each one whose receive
+/// counter reaches zero with sends left joins the next round's senders —
+/// in ascending order too, since the sweep is ascending.
 fn wc_drain(
     scratch: &mut SimScratch,
     timeline: &mut Timeline,
     params: &LogGpParams,
     rule: GapRule,
     tracer: Option<&StepTracer<'_>>,
-    procs: usize,
 ) {
-    for p in 0..procs {
-        if scratch.inboxes[p].is_empty() {
-            continue;
-        }
+    let mut dirty = std::mem::take(&mut scratch.dirty);
+    dirty.sort_unstable();
+    for &d in &dirty {
+        let p = d as usize;
         let mut inbox = std::mem::take(&mut scratch.inboxes[p]);
         // (arrival, id) is unique, so the unstable sort is deterministic.
         inbox.sort_unstable();
@@ -123,11 +150,16 @@ fn wc_drain(
                 t.recv(&event, inflight.arrival, false);
             }
             timeline.push(event);
-            scratch.to_recv[p] -= 1;
+        }
+        scratch.to_recv[p] -= inbox.len() as u32;
+        if scratch.to_recv[p] == 0 && scratch.has_sends(p) {
+            scratch.ready.push(d);
         }
         inbox.clear();
         scratch.inboxes[p] = inbox; // hand the buffer back for reuse
     }
+    dirty.clear();
+    scratch.dirty = dirty;
 }
 
 /// The full round loop, optionally recording the commit order for
@@ -153,8 +185,7 @@ pub(crate) fn wc_core(
     let mut rng: Option<SmallRng> = None;
 
     scratch.begin_worstcase(pattern, ready);
-    let procs = pattern.procs();
-    let mut timeline = Timeline::new(procs);
+    let mut timeline = Timeline::new(pattern.procs());
     timeline.reserve(2 * scratch.arena.len());
     let mut forced_sends = 0usize;
     let mut remaining_sends = scratch.arena.len();
@@ -163,20 +194,15 @@ pub(crate) fn wc_core(
     // are ever pending (the reference loop's "receives pending but nobody
     // eligible" branch is unreachable) and the loop runs while sends remain.
     while remaining_sends > 0 {
-        debug_assert!(scratch.inboxes[..procs].iter().all(|i| i.is_empty()));
+        debug_assert!(scratch.dirty.is_empty());
 
         // Part 1: every processor that has received everything it expects
-        // sends all of its messages.
-        scratch.tied.clear();
-        for p in 0..procs {
-            if scratch.to_recv[p] == 0 && scratch.has_sends(p) {
-                scratch.tied.push(p as u32);
-            }
-        }
-
-        if !scratch.tied.is_empty() {
-            for i in 0..scratch.tied.len() {
-                let p = scratch.tied[i] as usize;
+        // sends all of its messages. The drain collected exactly those
+        // processors, in ascending order.
+        let mut senders = std::mem::take(&mut scratch.ready);
+        if !senders.is_empty() {
+            for &p in &senders {
+                let p = p as usize;
                 while scratch.has_sends(p) {
                     wc_send(
                         scratch,
@@ -198,21 +224,20 @@ pub(crate) fn wc_core(
         } else {
             // Deadlock: messages remain but every would-be sender is still
             // waiting on a cycle. Force one transmission from a randomly
-            // chosen blocked processor.
-            for p in 0..procs {
-                if scratch.has_sends(p) {
-                    scratch.tied.push(p as u32);
-                }
-            }
-            debug_assert!(!scratch.tied.is_empty());
+            // chosen blocked processor: the k-th processor with sends, in
+            // ascending order, exactly as drawn from the reference loop's
+            // ascending blocked list.
+            let blocked = scratch.senders.len();
+            debug_assert!(blocked > 0);
             // A singleton draw returns 0 without consuming RNG state, so
             // skipping it keeps the stream identical to the reference loop.
-            let victim = if scratch.tied.len() == 1 {
-                scratch.tied[0] as usize
+            let k = if blocked == 1 {
+                0
             } else {
                 let rng = rng.get_or_insert_with(|| SmallRng::seed_from_u64(cfg.seed));
-                scratch.tied[rng.gen_range(0..scratch.tied.len())] as usize
+                rng.gen_range(0..blocked)
             };
+            let victim = scratch.senders.kth(k);
             wc_send(
                 scratch,
                 &mut timeline,
@@ -230,13 +255,16 @@ pub(crate) fn wc_core(
                 r.push((victim as u32) << 1 | 1);
             }
         }
+        // Hand the buffer back (capacity kept) for the drain to refill.
+        senders.clear();
+        scratch.ready = senders;
         if let Some(r) = rec.as_deref_mut() {
             r.push(u32::MAX); // round boundary: the drain runs here
         }
 
         // Part 2: every destination performs the receive operations for the
         // messages delivered so far, in arrival order.
-        wc_drain(scratch, &mut timeline, params, rule, tracer, procs);
+        wc_drain(scratch, &mut timeline, params, rule, tracer);
     }
 
     let mut result = SimResult::new(timeline);

@@ -368,3 +368,73 @@ proptest! {
         );
     }
 }
+
+// Deterministic large-P cases: the proptests above stay below 12
+// processors, where a per-round scan over every processor is cheap and
+// the worklist, dirty-inbox and order-statistic paths of the worst-case
+// loop are barely exercised. These run them at the processor counts the
+// scaling benchmarks use, and at counts that are not powers of two (the
+// shape where an order-statistic descent is easiest to get wrong).
+
+/// A stencil's halo exchange: every pair of neighbours swaps a boundary
+/// row, so the pattern is a chain of 2-cycles.
+fn halo_exchange(procs: usize, bytes: usize) -> CommPattern {
+    let mut pattern = CommPattern::new(procs);
+    for p in 0..procs.saturating_sub(1) {
+        pattern.add(p, p + 1, bytes);
+        pattern.add(p + 1, p, bytes);
+    }
+    pattern
+}
+
+/// Worst-case loop ≡ reference on `pattern` (timeline, forced sends,
+/// finish), and its recording re-times to the full simulation's maxima
+/// under the recording parameters and under another machine's.
+fn assert_worstcase_equivalent(label: &str, pattern: &CommPattern, seed: u64) {
+    let procs = pattern.procs();
+    let cfg = SimConfig::new(loggp::presets::meiko_cs2(procs)).with_seed(seed);
+    let ready: Vec<Time> = (0..procs)
+        .map(|p| Time::from_ns((p as u64 * 7919) % 5000))
+        .collect();
+    let new = simulate_from(CommAlgo::WorstCase, pattern, &cfg, &ready);
+    let old = reference::worstcase_simulate_from(pattern, &cfg, &ready);
+    assert_same(label, &new, &old);
+
+    let mut scratch = SimScratch::new();
+    let (recorded, rec) = CommAlgo::WorstCase.record(pattern, &cfg, &ready, &mut scratch);
+    assert_same(&format!("{label} recording run"), &recorded, &new);
+    let alt_cfg = SimConfig::new(loggp::presets::intel_paragon(procs)).with_seed(seed);
+    for (what, at) in [("retime@meiko", &cfg), ("retime@paragon", &alt_cfg)] {
+        assert!(
+            retime_matches_full(
+                &format!("{label} {what}"),
+                &rec,
+                pattern,
+                at,
+                &ready,
+                &mut scratch
+            ),
+            "{label} {what}: worst-case retime is unconditional for matching seeds"
+        );
+    }
+}
+
+#[test]
+fn worstcase_matches_reference_on_a_1024_proc_halo_exchange() {
+    let pattern = halo_exchange(1024, 8 * 4096);
+    assert!(pattern.has_cycle());
+    for seed in [0, 1, 0xdead_beef] {
+        assert_worstcase_equivalent(&format!("halo P=1024 seed={seed}"), &pattern, seed);
+    }
+}
+
+#[test]
+fn worstcase_matches_reference_on_random_cyclic_patterns_at_odd_p() {
+    for procs in [1usize, 257, 1000] {
+        for seed in [3u64, 17, 2024] {
+            let pattern = patterns::random(procs, 3 * procs, 4096, seed);
+            assert!(procs == 1 || pattern.has_cycle());
+            assert_worstcase_equivalent(&format!("random P={procs} seed={seed}"), &pattern, seed);
+        }
+    }
+}

@@ -155,15 +155,6 @@ pub fn record_job(
     Some((prediction, recording, program))
 }
 
-/// Ranking key for batch dispatch: static ceiling (descending — the job
-/// that can run longest starts first, so it cannot become the lone
-/// straggler at the end of the batch), then the submission index. Jobs
-/// with no static interval (faulted, infeasible) rank as longest.
-fn rank_key(index: usize, spec: &JobSpec) -> (std::cmp::Reverse<u64>, usize) {
-    let hi = static_bounds(spec).map_or(u64::MAX, |b| b.hi.as_ps());
-    (std::cmp::Reverse(hi), index)
-}
-
 /// One job [`Engine::run_checked`] refused to execute.
 #[derive(Clone, Debug)]
 pub struct RejectedJob {
@@ -520,18 +511,12 @@ impl Engine {
                 });
             }
         }
-        let mut pending: Vec<usize> = slots
+        let pending: Vec<usize> = slots
             .iter()
             .enumerate()
             .filter_map(|(i, slot)| slot.is_none().then_some(i))
             .collect();
         let workers = self.config.effective_jobs().min(pending.len());
-        if workers > 1 {
-            // Dispatch order only — results still land in their
-            // submission-order slots, so the batch output is bit-identical
-            // to the unranked (and the sequential) order.
-            pending.sort_by_cached_key(|&i| rank_key(i, &specs[i]));
-        }
         self.obs
             .registry
             .gauge("engine_workers", "worker threads of the last batch")

@@ -231,8 +231,9 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Static bounds: simulation-free intervals bracket every engine result, and
-// the hi-ranked dispatch order stays a pure optimization.
+// Static bounds: simulation-free intervals bracket every engine result; and
+// parallel dispatch, in whatever order workers claim jobs, matches the
+// sequential run.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -295,11 +296,12 @@ fn static_bounds_are_unavailable_for_faulted_and_infeasible_jobs() {
     assert!(predsim_engine::static_bounds(&infeasible).is_none());
 }
 
-/// The ranked dispatch path (workers > 1) must produce results identical
-/// to the sequential path even when the batch mixes clean, faulted and
-/// wildly different-sized jobs — ranking reorders only the work queue.
+/// The parallel dispatch path (workers > 1) must produce results
+/// identical to the sequential path even when the batch mixes clean,
+/// faulted and wildly different-sized jobs — the order in which workers
+/// finish jobs never reaches the results.
 #[test]
-fn ranked_dispatch_is_bit_identical_to_sequential() {
+fn parallel_dispatch_is_bit_identical_to_sequential() {
     let plan = FaultPlan::new(
         FaultSpec {
             drop_ppm: 0,

@@ -302,6 +302,17 @@ impl ServeMetrics {
             .inc();
     }
 
+    /// Count one accepted connection closed without an answer, by reason.
+    fn conn_refused(&self, reason: &str) {
+        self.registry
+            .counter_with(
+                "serve_conn_refused_total",
+                &[("reason", reason)],
+                "accepted connections closed unanswered, by reason",
+            )
+            .inc();
+    }
+
     /// Count one injected chaos event, by kind.
     fn chaos(&self, kind: &str) {
         self.registry
@@ -825,13 +836,11 @@ fn acceptor_loop(listener: TcpListener, shared: &Arc<Shared>) {
                 {
                     continue;
                 }
-                let shared = Arc::clone(shared);
-                handlers.push(
-                    std::thread::Builder::new()
-                        .name("serve-conn".into())
-                        .spawn(move || handle_connection(stream, &shared))
-                        .expect("spawning handler"),
-                );
+                let conn_shared = Arc::clone(shared);
+                let spawned = std::thread::Builder::new()
+                    .name("serve-conn".into())
+                    .spawn(move || handle_connection(stream, &conn_shared));
+                track_handler(&mut handlers, spawned, &shared.metrics);
                 // Reap finished handlers so a long-lived server does not
                 // accumulate join handles.
                 handlers.retain(|h| !h.is_finished());
@@ -845,6 +854,21 @@ fn acceptor_loop(listener: TcpListener, shared: &Arc<Shared>) {
     drop(listener);
     for handler in handlers {
         handler.join().expect("handler panicked");
+    }
+}
+
+/// Keep a spawned connection handler's join handle, or count the refusal
+/// when the OS would not start the thread. A failed spawn drops its
+/// closure, and with it the accepted stream, so the client sees the
+/// connection close unanswered while the acceptor keeps accepting.
+fn track_handler(
+    handlers: &mut Vec<std::thread::JoinHandle<()>>,
+    spawned: std::io::Result<std::thread::JoinHandle<()>>,
+    metrics: &ServeMetrics,
+) {
+    match spawned {
+        Ok(handle) => handlers.push(handle),
+        Err(_) => metrics.conn_refused("spawn"),
     }
 }
 
@@ -1380,5 +1404,35 @@ fn batch(request: &Request, shared: &Shared) -> Response {
             Response::json(200, api::render_batch(&results))
         }
         Err(resp) => resp,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_failed_handler_spawn_is_counted_instead_of_panicking() {
+        let metrics = ServeMetrics::new(Arc::new(Registry::new()));
+        let mut handlers = Vec::new();
+        let refused = || {
+            metrics
+                .registry
+                .snapshot()
+                .scalar("serve_conn_refused_total", &[("reason", "spawn")])
+        };
+        assert_eq!(refused(), None);
+
+        let failed = Err(std::io::Error::other("no threads left"));
+        track_handler(&mut handlers, failed, &metrics);
+        assert!(handlers.is_empty());
+        assert_eq!(refused(), Some(1));
+
+        track_handler(&mut handlers, Ok(std::thread::spawn(|| ())), &metrics);
+        assert_eq!(handlers.len(), 1);
+        assert_eq!(refused(), Some(1));
+        for handler in handlers {
+            handler.join().unwrap();
+        }
     }
 }
